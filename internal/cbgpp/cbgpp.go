@@ -69,7 +69,7 @@ func (c *CBGPP) BaselineRegion(ms []geoloc.Measurement) *grid.Region {
 		r := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs) + pad
 		regions = append(regions, c.env.CapRegionFor(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
 	}
-	best, _ := geoloc.CoverageArgmax(c.env.Grid, regions)
+	best, _ := c.env.Grid.CoverageArgmax(regions)
 	return best
 }
 
@@ -111,7 +111,7 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 		}
 	}
 
-	best, _ := geoloc.CoverageArgmax(c.env.Grid, kept)
+	best, _ := c.env.Grid.CoverageArgmax(kept)
 	return c.env.ApplyExclusions(best), len(kept), nil
 }
 

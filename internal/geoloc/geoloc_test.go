@@ -97,7 +97,7 @@ func TestCoverageArgmax(t *testing.T) {
 	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1000})
 	c := g.CapRegion(geo.Cap{Center: geo.Point{Lat: -30, Lon: 140}, RadiusKm: 1000}) // disjoint
 
-	best, count := CoverageArgmax(g, []*grid.Region{a, b, c})
+	best, count := g.CoverageArgmax([]*grid.Region{a, b, c})
 	if count != 2 {
 		t.Fatalf("max count = %d, want 2", count)
 	}
@@ -108,7 +108,7 @@ func TestCoverageArgmax(t *testing.T) {
 		t.Errorf("argmax %d cells, intersection %d", best.Count(), ab.Count())
 	}
 	// Degenerate cases.
-	empty, count := CoverageArgmax(g, nil)
+	empty, count := g.CoverageArgmax(nil)
 	if count != 0 || !empty.Empty() {
 		t.Error("empty input should give empty region")
 	}

@@ -123,3 +123,48 @@ func TestFilterMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCoverageArgmaxCounts builds regions with known per-cell counts —
+// cell i of region k present for k < mult[i] — so the maximum and its
+// cells are known without a counter, including counts that cross
+// bit-plane boundaries and the empty cases.
+func TestCoverageArgmaxCounts(t *testing.T) {
+	g := New(10)
+	for _, c := range []struct {
+		regions int
+		mult    map[int]int // cell → number of regions containing it
+		want    int
+	}{
+		{0, nil, 0},
+		{3, nil, 0},
+		{1, map[int]int{5: 1, 64: 1}, 1},
+		{4, map[int]int{0: 3, 63: 4, 64: 4, 200: 2}, 4},
+		{255, map[int]int{1: 255, 70: 254, 130: 128}, 255},
+		{256, map[int]int{1: 255, 70: 256, 130: 128, g.NumCells() - 1: 256}, 256},
+		{300, map[int]int{9: 127, 10: 128, 11: 129}, 129},
+	} {
+		regions := make([]*Region, c.regions)
+		for k := range regions {
+			regions[k] = g.NewRegion()
+			for cell, m := range c.mult {
+				if k < m {
+					regions[k].Add(cell)
+				}
+			}
+		}
+		got, n := g.CoverageArgmax(regions)
+		want := g.NewRegion()
+		for cell, m := range c.mult {
+			if m == c.want {
+				want.Add(cell)
+			}
+		}
+		if n != c.want || !got.Equal(want) {
+			t.Errorf("%d regions %v: got count %d over %v, want %d over %v", c.regions, c.mult, n, got, c.want, want)
+		}
+	}
+	full, n := g.CoverageArgmax([]*Region{g.FullRegion(), g.FullRegion()})
+	if n != 2 || full.Count() != g.NumCells() {
+		t.Errorf("two full regions: count %d over %d cells, want 2 over %d", n, full.Count(), g.NumCells())
+	}
+}

@@ -152,9 +152,10 @@ func (a *AdversarialProxiedTool) MeasureAll(lms []*atlas.Landmark, rng *rand.Ran
 // same FNV-1a host hash the fault layer uses for its pure structural
 // draws — never the measurement RNG, so attack membership is a property
 // of the configuration, not of scheduling. As in netsim's Outage, the
-// hash seeds a throwaway generator rather than being used as raw bits:
-// FNV's avalanche on near-identical IDs is too weak for direct use.
+// hash seeds a generator's first draw rather than being used as raw
+// bits: FNV's avalanche on near-identical IDs is too weak for direct
+// use. netsim.SeededFloat64 computes that draw without the generator.
 func hashFraction(seed int64, kind, id string) float64 {
 	h := netsim.HashID(netsim.HostID(fmt.Sprintf("%s|%d|%s", kind, seed, id)))
-	return rand.New(rand.NewSource(int64(h))).Float64()
+	return netsim.SeededFloat64(int64(h))
 }

@@ -81,16 +81,15 @@ func (c FaultConfig) Enabled() bool {
 // fold this into their per-server dependency signatures. The zero config
 // has its own (stable) signature, distinct from any armed one.
 func (c FaultConfig) Signature() uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+	h := fnvOffset64
 	for _, v := range []float64{
 		c.ProbeLoss, c.OutageFraction, c.OutageMeanMs, c.HorizonMs,
 		c.DisconnectProb, c.SpikeProb, c.SpikeMeanMs,
 	} {
-		h ^= math.Float64bits(v)
-		h *= prime
+		h ^= fnv1a(math.Float64bits(v))
+		h *= fnvPrime64
 	}
-	return h
+	return uint64(h)
 }
 
 func (c FaultConfig) outageMean() float64 {
@@ -201,13 +200,16 @@ func (n *Network) Outage(id HostID) (startMs, endMs float64, ok bool) {
 	if cfg.OutageFraction <= 0 {
 		return 0, 0, false
 	}
-	s := HashID(HostID(fmt.Sprintf("outage|%d|%s", n.seed, id)))
-	r := rand.New(rand.NewSource(int64(s)))
-	if r.Float64() >= cfg.OutageFraction {
+	// The first three Float64 draws of a generator seeded with the
+	// FNV-1a hash of fmt.Sprintf("outage|%d|%s", seed, id).
+	s := fnvOffset64.str("outage|").int(n.seed).str("|").str(string(id))
+	var u [3]float64
+	seededFloat64s(int64(s), u[:])
+	if u[0] >= cfg.OutageFraction {
 		return 0, 0, false
 	}
-	startMs = r.Float64() * cfg.Horizon()
-	dur := (0.5 + r.Float64()) * cfg.outageMean()
+	startMs = u[1] * cfg.Horizon()
+	dur := (0.5 + u[2]) * cfg.outageMean()
 	return startMs, startMs + dur, true
 }
 

@@ -217,3 +217,30 @@ func TestDefaultFaults(t *testing.T) {
 		t.Errorf("DefaultFaults(0.1) = %+v", cfg)
 	}
 }
+
+// TestFaultSignature: the signature is stable, separates the zero
+// config from every armed one, and moves with each field.
+func TestFaultSignature(t *testing.T) {
+	base := DefaultFaults(0.1)
+	if base.Signature() != DefaultFaults(0.1).Signature() {
+		t.Fatal("signature not stable across equal configs")
+	}
+	seen := map[uint64]string{FaultConfig{}.Signature(): "zero", base.Signature(): "base"}
+	for name, mut := range map[string]func(*FaultConfig){
+		"ProbeLoss":      func(c *FaultConfig) { c.ProbeLoss += 0.01 },
+		"OutageFraction": func(c *FaultConfig) { c.OutageFraction += 0.01 },
+		"OutageMeanMs":   func(c *FaultConfig) { c.OutageMeanMs = 5000 },
+		"HorizonMs":      func(c *FaultConfig) { c.HorizonMs = 9000 },
+		"DisconnectProb": func(c *FaultConfig) { c.DisconnectProb += 0.01 },
+		"SpikeProb":      func(c *FaultConfig) { c.SpikeProb += 0.01 },
+		"SpikeMeanMs":    func(c *FaultConfig) { c.SpikeMeanMs = 100 },
+	} {
+		c := base
+		mut(&c)
+		s := c.Signature()
+		if prev, dup := seen[s]; dup {
+			t.Errorf("changing %s gives the signature of %s", name, prev)
+		}
+		seen[s] = name
+	}
+}

@@ -31,7 +31,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -288,9 +287,32 @@ type pathProfile struct {
 	accessDelay float64 // summed last-mile delay of both endpoints, ms (round trip)
 }
 
-// profile computes the deterministic path profile for a pair of hosts.
-func (n *Network) profile(a, b *Host) pathProfile {
+// pairPath is a resolved pair of distinct hosts with its path profile
+// and great-circle distance, computed once per measurement and passed
+// down to the RTT helpers.
+type pairPath struct {
+	a, b *Host
+	gcKm float64 // great-circle distance between the endpoints
+	pathProfile
+}
+
+// lookupPair resolves two host IDs under one read lock; either result
+// may be nil.
+func (n *Network) lookupPair(a, b HostID) (*Host, *Host) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.hosts[a], n.hosts[b]
+}
+
+// path computes the pair's distance and profile.
+func (n *Network) path(a, b *Host) pairPath {
 	d := geo.DistanceKm(a.Loc, b.Loc)
+	return pairPath{a: a, b: b, gcKm: d, pathProfile: n.profile(a, b, d)}
+}
+
+// profile computes the deterministic path profile for a pair of hosts
+// at great-circle distance d.
+func (n *Network) profile(a, b *Host, d float64) pathProfile {
 	qa, qb := countryQuality(a.Country), countryQuality(b.Country)
 
 	// Hub routing: island or poorly connected territories in different
@@ -376,72 +398,81 @@ func (n *Network) nearestHub(p geo.Point) geo.Point {
 // seed as baseSeed ^ HashID(id) makes the stream a pure function of the
 // (seed, id) pair, independent of iteration and scheduling order.
 func HashID(id HostID) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
+	return uint64(fnvOffset64.str(string(id)))
 }
 
 // pairUniforms derives two deterministic uniforms in [0,1) from the seed
-// and the unordered host pair.
+// and the unordered host pair: the first two Float64 draws of a
+// math/rand generator seeded with the FNV-1a hash of
+// fmt.Sprintf("%d|%s|%s", seed, a, b), computed in closed form.
 func (n *Network) pairUniforms(a, b HostID) (float64, float64) {
 	if b < a {
 		a, b = b, a
 	}
-	s := HashID(HostID(fmt.Sprintf("%d|%s|%s", n.seed, a, b)))
-	r := rand.New(rand.NewSource(int64(s)))
-	return r.Float64(), r.Float64()
+	s := fnvOffset64.int(n.seed).str("|").str(string(a)).str("|").str(string(b))
+	var u [2]float64
+	seededFloat64s(int64(s), u[:])
+	return u[0], u[1]
 }
+
+// sameHostRTTMs is the loopback round-trip time of a host to itself.
+const sameHostRTTMs = 0.1
 
 // BaseRTTMs returns the minimum (uncongested) round-trip time between two
 // hosts in milliseconds: propagation along the inflated path plus access
 // delays, never below the physical floor.
 func (n *Network) BaseRTTMs(a, b HostID) (float64, error) {
-	n.mu.RLock()
-	ha, hb := n.hosts[a], n.hosts[b]
-	n.mu.RUnlock()
+	ha, hb := n.lookupPair(a, b)
 	if ha == nil || hb == nil {
 		return 0, ErrUnknownHost
 	}
 	if a == b {
-		return 0.1, nil
+		return sameHostRTTMs, nil
 	}
-	p := n.profile(ha, hb)
-	floor := 2 * geo.DistanceKm(ha.Loc, hb.Loc) / geo.BaselineSpeedKmPerMs
+	p := n.path(ha, hb)
+	return p.baseRTT(), nil
+}
+
+// baseRTT is BaseRTTMs for the resolved pair.
+func (p *pairPath) baseRTT() float64 {
+	floor := 2 * p.gcKm / geo.BaselineSpeedKmPerMs
 	rtt := 2*p.distKm*p.inflation/geo.BaselineSpeedKmPerMs + p.accessDelay
 	// Paths that leave the metro area cross provider edges and exchange
 	// points: a distance-independent routing overhead that intra-data-
 	// center traffic never pays. This is what separates the sub-5 ms
 	// same-LAN RTTs (§8.1's co-location heuristic) from even the
 	// shortest inter-city paths.
-	if geo.DistanceKm(ha.Loc, hb.Loc) > 50 {
+	if p.gcKm > 50 {
 		rtt += wanOverheadMs
 	}
 	if rtt < floor {
 		rtt = floor
 	}
-	return rtt, nil
+	return rtt
 }
 
 // SampleRTTMs returns one measured round-trip time: the base RTT plus
 // queueing jitter and occasional congestion spikes drawn from rng.
 func (n *Network) SampleRTTMs(a, b HostID, rng *rand.Rand) (float64, error) {
-	base, err := n.BaseRTTMs(a, b)
-	if err != nil {
-		return 0, err
+	ha, hb := n.lookupPair(a, b)
+	if ha == nil || hb == nil {
+		return 0, ErrUnknownHost
 	}
 	if a == b {
-		return base, nil
+		return sameHostRTTMs, nil
 	}
-	n.mu.RLock()
-	ha, hb := n.hosts[a], n.hosts[b]
-	n.mu.RUnlock()
-	p := n.profile(ha, hb)
-	extraBase, extraJitter := n.congestionFor(ha, hb)
-	rtt := base + extraBase + rng.ExpFloat64()*(p.jitterMean+extraJitter)
+	p := n.path(ha, hb)
+	return n.sampleRTT(&p, rng), nil
+}
+
+// sampleRTT is SampleRTTMs for the resolved pair.
+func (n *Network) sampleRTT(p *pairPath, rng *rand.Rand) float64 {
+	extraBase, extraJitter := n.congestionFor(p.a, p.b)
+	rtt := p.baseRTT() + extraBase + rng.ExpFloat64()*(p.jitterMean+extraJitter)
 	if rng.Float64() < p.spikeProb {
 		rtt += rng.ExpFloat64() * p.spikeMean
 	}
-	return rtt, nil
+	return rtt
 }
 
 // Ping performs an ICMP echo round trip. It fails if the destination
@@ -478,24 +509,21 @@ var ErrTimeout = errors.New("netsim: connection timed out")
 // timeout — one source of the "high outlier" observations real tools
 // must cope with.
 func (n *Network) TCPConnect(from, to HostID, port int, rng *rand.Rand) (float64, error) {
-	n.mu.RLock()
-	src, dst := n.hosts[from], n.hosts[to]
-	n.mu.RUnlock()
+	src, dst := n.lookupPair(from, to)
 	if src == nil || dst == nil {
 		return 0, ErrUnknownHost
 	}
 	if dst.FilteredPorts[port] {
 		return 0, ErrPortFiltered
 	}
-	p := n.profile(src, dst)
+	if from == to {
+		return sameHostRTTMs, nil
+	}
+	p := n.path(src, dst)
 	var penalty, timeout float64 = 0, synRetransmitMs
 	for try := 0; try <= maxSynRetries; try++ {
-		if from == to || rng.Float64() >= p.lossProb {
-			rtt, err := n.SampleRTTMs(from, to, rng)
-			if err != nil {
-				return 0, err
-			}
-			return rtt + penalty, nil
+		if rng.Float64() >= p.lossProb {
+			return n.sampleRTT(&p, rng) + penalty, nil
 		}
 		penalty += timeout
 		timeout *= 2

@@ -387,3 +387,32 @@ func BenchmarkSampleRTT(b *testing.B) {
 		_, _ = n.SampleRTTMs("fra", "syd", rng)
 	}
 }
+
+// TestRemoveHostStateless: paths are derived, not stored, so a removed
+// and re-added host gets the same base RTT, and a same-host connect
+// consumes no random draws.
+func TestRemoveHostStateless(t *testing.T) {
+	n := newTestNet(t)
+	before, _ := n.BaseRTTMs("fra", "syd")
+	syd := n.Host("syd")
+	if !n.RemoveHost("syd") || n.RemoveHost("syd") {
+		t.Fatal("RemoveHost should report true once, then false")
+	}
+	if _, err := n.BaseRTTMs("fra", "syd"); err != ErrUnknownHost {
+		t.Fatalf("removed host: err %v, want ErrUnknownHost", err)
+	}
+	if err := n.AddHost(syd); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := n.BaseRTTMs("fra", "syd"); after != before {
+		t.Errorf("base RTT after re-add %v, want %v", after, before)
+	}
+
+	r1, r2 := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	if rtt, err := n.TCPConnect("fra", "fra", 80, r1); err != nil || rtt != sameHostRTTMs {
+		t.Fatalf("same-host connect = (%v, %v), want (%v, nil)", rtt, err, sameHostRTTMs)
+	}
+	if r1.Int63() != r2.Int63() {
+		t.Error("same-host connect consumed random draws")
+	}
+}

@@ -102,6 +102,54 @@ func (c *CBG) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 	return c.Env.ApplyExclusions(region), nil
 }
 
+// CoverageArgmax is the pre-kernel coverage argmax: one int16
+// counter per cell, bumped through Region.Each, then a scan for the
+// maximum and a second for the cells that reach it. It is the oracle
+// for the bit-sliced kernel.
+func CoverageArgmax(g *grid.Grid, regions []*grid.Region) (*grid.Region, int) {
+	counts := make([]int16, g.NumCells())
+	for _, r := range regions {
+		r.Each(func(i int) { counts[i]++ })
+	}
+	var maxc int16
+	for _, c := range counts {
+		if c > maxc {
+			maxc = c
+		}
+	}
+	out := g.NewRegion()
+	if maxc == 0 {
+		return out, 0
+	}
+	for i, c := range counts {
+		if c == maxc {
+			out.Add(i)
+		}
+	}
+	return out, int(maxc)
+}
+
+// intersectOrArgmax is geoloc.IntersectOrArgmax over the per-cell
+// counter: the strict intersection, or the majority argmax when the
+// intersection is empty.
+func intersectOrArgmax(g *grid.Grid, regions []*grid.Region) *grid.Region {
+	if len(regions) == 0 {
+		return g.NewRegion()
+	}
+	strict := regions[0].Clone()
+	for _, r := range regions[1:] {
+		strict.IntersectWith(r)
+		if strict.Empty() {
+			best, count := CoverageArgmax(g, regions)
+			if count*2 < len(regions) {
+				return g.NewRegion()
+			}
+			return best
+		}
+	}
+	return strict
+}
+
 // CBGPP is the pre-kernel CBG++: baseline-region filtering over
 // haversine-rasterized disks.
 type CBGPP struct {
@@ -121,7 +169,7 @@ func (c *CBGPP) baselineRegion(ms []geoloc.Measurement) *grid.Region {
 		r := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs) + pad
 		regions = append(regions, capRegionReference(c.Env.Grid, geo.Cap{Center: m.Landmark, RadiusKm: r}))
 	}
-	best, _ := geoloc.CoverageArgmax(c.Env.Grid, regions)
+	best, _ := CoverageArgmax(c.Env.Grid, regions)
 	return best
 }
 
@@ -153,7 +201,7 @@ func (c *CBGPP) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		}
 	}
 
-	best, _ := geoloc.CoverageArgmax(c.Env.Grid, kept)
+	best, _ := CoverageArgmax(c.Env.Grid, kept)
 	return c.Env.ApplyExclusions(best), nil
 }
 
@@ -189,7 +237,7 @@ func (o *Octant) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		}
 		regions = append(regions, ringRegionReference(o.Env.Grid, r))
 	}
-	best := geoloc.IntersectOrArgmax(o.Env.Grid, regions)
+	best := intersectOrArgmax(o.Env.Grid, regions)
 	return o.Env.ApplyExclusions(best), nil
 }
 
@@ -228,7 +276,7 @@ func (h *Hybrid) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		}
 		regions = append(regions, ringRegionReference(h.Env.Grid, r))
 	}
-	best := geoloc.IntersectOrArgmax(h.Env.Grid, regions)
+	best := intersectOrArgmax(h.Env.Grid, regions)
 	return h.Env.ApplyExclusions(best), nil
 }
 
