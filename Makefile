@@ -13,8 +13,10 @@
 #   make race-smoke    quick audit pipeline only, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make soak-constellation  CHAOS_MINUTES of shard kill/restart churn under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface and netsim's closed form
-#   make cover         per-package coverage with an 85% floor on the service, netsim and grid packages
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, netsim's closed form
+#                      and mathx's selection medians
+#   make cover         per-package coverage with an 85% floor on the service, detect, netsim,
+#                      grid and mathx packages
 #   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
 #   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
 #   make bench-faults  robustness sweep: tallies vs injected loss -> BENCH_faults.json
@@ -105,30 +107,35 @@ soak-constellation:
 	ACTIVEGEO_CHAOS_MINUTES=$(CHAOS_MINUTES) $(GO) test -race -count=1 -timeout 45m -run '^TestChaosSoak$$' -v ./internal/constellation
 
 # Native fuzzing over the atlasd wire surface (query parsing, model
-# path handling, report decoding) and over the simulator's closed-form
-# seeded uniforms (against math/rand on arbitrary seeds), FUZZTIME per
-# target. The seed corpora also run (for free) in every plain `go test`.
+# path handling, report decoding), over the simulator's closed-form
+# seeded uniforms (against math/rand on arbitrary seeds) and over the
+# robust-fit kernel's selection medians (against the copy-and-sort
+# fits on arbitrary float bit patterns), FUZZTIME per target. The seed
+# corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzModelPath$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzSeededUniforms$$' -fuzztime $(FUZZTIME) ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzTheilSenSelect$$' -fuzztime $(FUZZTIME) ./internal/mathx
 
 # Coverage floor on the service packages: the coordination server and
 # the load generator are concurrency-heavy, so untested branches there
 # are where the races and drain bugs hide; the detection package holds
 # the adversary verdict logic, where an untested branch is a blind spot
-# an attacker sits in. The simulator and the grid carry the bit-exact
-# hot kernels (closed-form seeded uniforms, bit-sliced coverage argmax),
-# where an untested branch is a silent golden drift. Profiles are left
-# on disk (cover_<pkg>.out) for CI to archive.
+# an attacker sits in. The simulator, the grid and mathx carry the
+# bit-exact hot kernels (closed-form seeded uniforms, bit-sliced
+# coverage argmax, selection medians), where an untested branch is a
+# silent golden drift. Profiles are left on disk (cover_<pkg>.out) for
+# CI to archive.
 cover:
 	$(GO) test -coverprofile=cover_atlasd.out ./internal/atlasd
 	$(GO) test -coverprofile=cover_loadgen.out ./internal/loadgen
 	$(GO) test -coverprofile=cover_detect.out ./internal/detect
 	$(GO) test -coverprofile=cover_netsim.out ./internal/netsim
 	$(GO) test -coverprofile=cover_grid.out ./internal/grid
-	@for f in cover_atlasd.out cover_loadgen.out cover_detect.out cover_netsim.out cover_grid.out; do \
+	$(GO) test -coverprofile=cover_mathx.out ./internal/mathx
+	@for f in cover_atlasd.out cover_loadgen.out cover_detect.out cover_netsim.out cover_grid.out cover_mathx.out; do \
 		total=$$($(GO) tool cover -func=$$f | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		echo "$$f: total coverage $$total% (floor $(COVER_FLOOR)%)"; \
 		if [ "$$(awk -v t="$$total" -v floor="$(COVER_FLOOR)" 'BEGIN { print (t+0 >= floor+0) }')" != "1" ]; then \

@@ -149,12 +149,13 @@ func TheilSen(x, y []float64) (Line, error) {
 	if len(slopes) == 0 {
 		return Line{}, errors.New("mathx: degenerate x values")
 	}
-	slope := Median(slopes)
+	// Both slices are owned here, so their medians may reorder them.
+	slope := medianInPlace(slopes)
 	resid := make([]float64, n)
 	for i := range x {
 		resid[i] = y[i] - slope*x[i]
 	}
-	return Line{Slope: slope, Intercept: Median(resid)}, nil
+	return Line{Slope: slope, Intercept: medianInPlace(resid)}, nil
 }
 
 // RSquared returns the coefficient of determination of predictions pred

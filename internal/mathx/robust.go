@@ -14,12 +14,14 @@ func MAD(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	m := Median(xs)
-	devs := make([]float64, len(xs))
+	// One scratch slice serves both medians: the deviations are taken
+	// from xs, so the first selection's reordering does not matter.
+	devs := append([]float64(nil), xs...)
+	m := medianInPlace(devs)
 	for i, v := range xs {
 		devs[i] = math.Abs(v - m)
 	}
-	return Median(devs)
+	return medianInPlace(devs)
 }
 
 // ErrTrimRange is returned when TrimmedLine's trim fraction is outside
@@ -62,15 +64,16 @@ func TrimmedLine(x, y []float64, trim float64) (Line, error) {
 		return line, nil
 	}
 	idx := make([]int, n)
+	resid := make([]float64, n)
 	kx := make([]float64, 0, keep)
 	ky := make([]float64, 0, keep)
 	for iter := 0; iter < 3; iter++ {
 		for i := range idx {
 			idx[i] = i
+			resid[i] = math.Abs(y[i] - line.At(x[i]))
 		}
-		resid := func(i int) float64 { return math.Abs(y[i] - line.At(x[i])) }
 		sort.Slice(idx, func(a, b int) bool {
-			ra, rb := resid(idx[a]), resid(idx[b])
+			ra, rb := resid[idx[a]], resid[idx[b]]
 			if ra != rb {
 				return ra < rb
 			}

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -33,7 +34,96 @@ func StdDev(xs []float64) float64 {
 
 // Median returns the median of xs without modifying it.
 func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
+	return medianInPlace(append([]float64(nil), xs...))
+}
+
+// medianInPlace returns exactly Quantile(s, 0.5) — the same order
+// (sort.Float64s', NaN first) and the same interpolation — but finds
+// the two order statistics it needs by selection instead of sorting a
+// copy, reordering s in the process. The k-th comes from a quickselect
+// with a median-of-three pivot; past a depth of 2·log2(len) it sorts
+// the remaining span, so the worst case stays O(m log m). The (k+1)-th
+// is then the minimum of everything right of k. The only observable
+// difference from the sort is which of several equal-comparing
+// elements lands at k: the sign of an exactly-zero median (and a NaN's
+// payload) is as arbitrary here as it is in the sort.
+func medianInPlace(s []float64) float64 {
+	if len(s) == 0 {
+		return math.NaN()
+	}
+	pos := 0.5 * float64(len(s)-1)
+	k := int(math.Floor(pos))
+	frac := pos - float64(k)
+	if k+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	selectKth(s, k, 2*bits.Len(uint(len(s))))
+	next := s[k+1]
+	for _, v := range s[k+2:] {
+		if floatLess(v, next) {
+			next = v
+		}
+	}
+	// Odd lengths still multiply the (k+1)-th by zero, as Quantile
+	// does, so an infinite neighbour yields the same NaN.
+	return s[k]*(1-frac) + next*frac
+}
+
+// floatLess is sort.Float64Slice's order: NaNs sort before everything.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// selectKth reorders s so that s[k] holds the element a full sort would
+// put there, with nothing greater before it and nothing smaller after.
+// After depth partitioning rounds it sorts whatever span is left.
+func selectKth(s []float64, k, depth int) {
+	for lo, hi := 0, len(s)-1; lo < hi; depth-- {
+		if depth == 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		p := medianOfThree(s[lo], s[lo+(hi-lo)/2], s[hi])
+		// Hoare partition: both scans stop on elements equal to the
+		// pivot, so runs of ties split evenly instead of degrading.
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(s[i], p) {
+				i++
+			}
+			for floatLess(p, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] ≤ p ≤ s[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// medianOfThree returns the middle value of a, b and c under floatLess.
+func medianOfThree(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,9 +92,12 @@ type Auditor struct {
 	pass  uint32
 
 	// lmReport is the current pass's landmark cross-validation (nil when
-	// the adversary layer is disarmed). Recomputed at the top of every
-	// Sync so constellation churn re-judges the mesh.
-	lmReport *detect.LandmarkReport
+	// the adversary layer is disarmed), and meshEdges the as-reported
+	// mesh it was computed from. CrossValidate is a pure function of the
+	// edges, so Sync recomputes only when the mesh it rebuilds differs
+	// from meshEdges — after churn, recalibration or a re-tuned plan.
+	meshEdges []detect.MeshEdge
+	lmReport  *detect.LandmarkReport
 }
 
 // New builds an Auditor over a fresh store.
@@ -162,6 +166,23 @@ func (a *Auditor) signature(spec ServerSpec) uint64 {
 	return h
 }
 
+// sameMesh reports whether two as-reported meshes are element-wise
+// identical: the same directed edges in the same order, with bit-equal
+// distances and RTTs — exactly the inputs CrossValidate reads.
+func sameMesh(a, b []detect.MeshEdge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].From != b[i].From || a[i].To != b[i].To ||
+			math.Float64bits(a[i].ClaimedDistKm) != math.Float64bits(b[i].ClaimedDistKm) ||
+			math.Float64bits(a[i].MinRTTms) != math.Float64bits(b[i].MinRTTms) {
+			return false
+		}
+	}
+	return true
+}
+
 // batchItem is one dirty server queued for measurement.
 type batchItem struct {
 	row  int
@@ -189,12 +210,20 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	// against the as-reported calibration mesh, exactly as the batch
 	// audit does. The flagged set filters every batch's localization
 	// inputs below and is stamped into the store for the fingerprint.
+	// A mesh identical to the previous pass's reuses its report.
 	if plan := a.cfg.Adversary; plan.Enabled() {
 		edges := detect.MeshEdges(a.cfg.Cons, plan.ReportedPosition, plan.ReportBiasMs)
-		a.lmReport = detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
+		if a.lmReport != nil && sameMesh(edges, a.meshEdges) {
+			tel.Add("stream.crossvalidate.reused", 1)
+		} else {
+			span := tel.StartStage("audit.crossvalidate")
+			a.meshEdges = edges
+			a.lmReport = detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
+			span.End()
+		}
 		a.store.setAdversary(true, a.lmReport.Flagged)
 	} else {
-		a.lmReport = nil
+		a.meshEdges, a.lmReport = nil, nil
 		a.store.setAdversary(false, nil)
 	}
 

@@ -9,7 +9,9 @@ import (
 	"activegeo/internal/cbgpp"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
+	"activegeo/internal/telemetry"
 )
 
 // testEnv is a minimal measurement substrate for the stream package's
@@ -165,4 +167,98 @@ func TestSyncContextCancel(t *testing.T) {
 	if final.Audited != 0 || final.Skipped != 400 {
 		t.Fatalf("post-resume pass must be quiescent over all 400 servers: %+v", final)
 	}
+}
+
+// rotatingSource overrides the advertised claim of chosen servers — the
+// claim rotation a churning fleet shows between passes.
+type rotatingSource struct {
+	*SynthSource
+	claims map[int]string
+}
+
+func (r *rotatingSource) Spec(i int) ServerSpec {
+	spec := r.SynthSource.Spec(i)
+	if c, ok := r.claims[i]; ok {
+		spec.Claimed = c
+	}
+	return spec
+}
+
+// TestSyncReusesUnchangedMesh: an armed auditor cross-validates the
+// anchor mesh only when the as-reported mesh changed since the last
+// pass. A delta pass after a claim rotation reuses the report; a plan
+// whose ReportBiasMs differs and a recalibrated constellation both
+// recompute; disarming clears the cache, so re-arming recomputes. After
+// every step the store matches a fresh auditor's full pass.
+func TestSyncReusesUnchangedMesh(t *testing.T) {
+	te := newTestEnv(t, 31)
+	src := &rotatingSource{SynthSource: NewSynthSource(te.net, 48, 777), claims: map[int]string{}}
+	plan := &measure.AdversaryPlan{
+		Seed: 42, Attack: measure.AttackInflate, ProxyFraction: 0.3,
+		Aggressiveness: 1, ByzantineFraction: 0.4,
+	}
+	retuned := *plan
+	retuned.MeshBiasMs = 65
+	biased := false
+	for _, lm := range te.cons.Anchors() {
+		if plan.ReportBiasMs(lm.Host.ID) != retuned.ReportBiasMs(lm.Host.ID) {
+			biased = true
+		}
+	}
+	if !biased {
+		t.Fatal("test plan has no bias-lying anchor; re-tuning MeshBiasMs would not change the mesh")
+	}
+
+	tel := telemetry.New()
+	a := te.auditor(16, 2)
+	a.cfg.Adversary = plan
+	a.cfg.Telemetry = tel
+	computed := func() int {
+		for _, st := range tel.Stages() {
+			if st.Name == "audit.crossvalidate" {
+				return st.Spans
+			}
+		}
+		return 0
+	}
+	step := func(name string, wantComputed int, wantReused int64) PassStats {
+		t.Helper()
+		stats, err := a.Sync(context.Background(), src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := computed(); got != wantComputed {
+			t.Errorf("%s: cross-validation computed %d times in total, want %d", name, got, wantComputed)
+		}
+		if got := tel.Count("stream.crossvalidate.reused"); got != wantReused {
+			t.Errorf("%s: stream.crossvalidate.reused = %d, want %d", name, got, wantReused)
+		}
+		fresh := te.auditor(16, 2)
+		fresh.cfg.Adversary = a.cfg.Adversary
+		if _, err := fresh.Sync(context.Background(), src); err != nil {
+			t.Fatalf("%s: fresh pass: %v", name, err)
+		}
+		if got, want := a.Store().Fingerprint(), fresh.Store().Fingerprint(); got != want {
+			t.Fatalf("%s: incremental store diverged from a fresh pass:\n--- fresh ---\n%s--- incremental ---\n%s", name, want, got)
+		}
+		return stats
+	}
+
+	step("first pass", 1, 0)
+	src.claims[3], src.claims[17] = "ZZ", "QQ"
+	if stats := step("claim rotation", 1, 1); stats.Audited != 2 {
+		t.Errorf("claim rotation re-audited %d servers, want 2", stats.Audited)
+	}
+	a.cfg.Adversary = &retuned
+	step("re-tuned bias", 2, 1)
+	te.cons.RefreshCalibration(3, rand.New(rand.NewSource(8)))
+	step("recalibration", 3, 1)
+	step("quiet pass", 3, 2)
+	a.cfg.Adversary = nil
+	step("disarmed", 3, 2)
+	if a.meshEdges != nil || a.lmReport != nil {
+		t.Fatal("disarmed pass left the cross-validation cache populated")
+	}
+	a.cfg.Adversary = &retuned
+	step("re-armed", 4, 2)
 }
