@@ -13,10 +13,10 @@
 #   make race-smoke    quick audit pipeline only, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make soak-constellation  CHAOS_MINUTES of shard kill/restart churn under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, netsim's closed form
-#                      and mathx's selection medians
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, netsim's closed form,
+#                      mathx's selection medians and geoloc's strict-first argmax
 #   make cover         per-package coverage with an 85% floor on the service, detect, netsim,
-#                      grid and mathx packages
+#                      grid, geoloc and mathx packages
 #   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
 #   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
 #   make bench-faults  robustness sweep: tallies vs injected loss -> BENCH_faults.json
@@ -108,25 +108,28 @@ soak-constellation:
 
 # Native fuzzing over the atlasd wire surface (query parsing, model
 # path handling, report decoding), over the simulator's closed-form
-# seeded uniforms (against math/rand on arbitrary seeds) and over the
+# seeded uniforms (against math/rand on arbitrary seeds), over the
 # robust-fit kernel's selection medians (against the copy-and-sort
-# fits on arbitrary float bit patterns), FUZZTIME per target. The seed
-# corpora also run (for free) in every plain `go test`.
+# fits on arbitrary float bit patterns) and over the strict-first
+# constraint argmax (against counting every built region, masks on and
+# off), FUZZTIME per target. The seed corpora also run (for free) in
+# every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzModelPath$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzSeededUniforms$$' -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzTheilSenSelect$$' -fuzztime $(FUZZTIME) ./internal/mathx
+	$(GO) test -run '^$$' -fuzz '^FuzzConstraintArgmax$$' -fuzztime $(FUZZTIME) ./internal/geoloc
 
 # Coverage floor on the service packages: the coordination server and
 # the load generator are concurrency-heavy, so untested branches there
 # are where the races and drain bugs hide; the detection package holds
 # the adversary verdict logic, where an untested branch is a blind spot
-# an attacker sits in. The simulator, the grid and mathx carry the
-# bit-exact hot kernels (closed-form seeded uniforms, bit-sliced
-# coverage argmax, selection medians), where an untested branch is a
-# silent golden drift. Profiles are left on disk (cover_<pkg>.out) for
+# an attacker sits in. The simulator, the grid, geoloc and mathx carry
+# the bit-exact hot kernels (closed-form seeded uniforms, bit-sliced
+# coverage argmax, strict-first multilateration, selection medians),
+# where an untested branch is a silent golden drift. Profiles are left on disk (cover_<pkg>.out) for
 # CI to archive.
 cover:
 	$(GO) test -coverprofile=cover_atlasd.out ./internal/atlasd
@@ -134,8 +137,9 @@ cover:
 	$(GO) test -coverprofile=cover_detect.out ./internal/detect
 	$(GO) test -coverprofile=cover_netsim.out ./internal/netsim
 	$(GO) test -coverprofile=cover_grid.out ./internal/grid
+	$(GO) test -coverprofile=cover_geoloc.out ./internal/geoloc
 	$(GO) test -coverprofile=cover_mathx.out ./internal/mathx
-	@for f in cover_atlasd.out cover_loadgen.out cover_detect.out cover_netsim.out cover_grid.out cover_mathx.out; do \
+	@for f in cover_atlasd.out cover_loadgen.out cover_detect.out cover_netsim.out cover_grid.out cover_geoloc.out cover_mathx.out; do \
 		total=$$($(GO) tool cover -func=$$f | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		echo "$$f: total coverage $$total% (floor $(COVER_FLOOR)%)"; \
 		if [ "$$(awk -v t="$$total" -v floor="$(COVER_FLOOR)" 'BEGIN { print (t+0 >= floor+0) }')" != "1" ]; then \
@@ -177,8 +181,9 @@ bench-audit:
 
 # Geometry-kernel microbenchmarks: per-algorithm Locate timing through
 # the pre-kernel reference implementations vs the kernel with the
-# quantized mask cache off and on, plus one full quick-audit wall-clock
-# run, recorded in BENCH_locate.json. Aborts (non-zero exit) if any
+# quantized mask cache off and on, each multilaterating algorithm's
+# strict-intersection share over the quick fleet, plus one full
+# quick-audit wall-clock run, recorded in BENCH_locate.json. Aborts (non-zero exit) if any
 # algorithm's region differs from the reference by even one cell on
 # either kernel path, or if the quick-fleet tally drifts from
 # 166/25/161 (DESIGN.md §8).

@@ -22,7 +22,10 @@
 // (landmark distance fields and mask families cached). The run aborts
 // with a non-zero exit if any algorithm's region differs from the
 // reference by even one cell on either kernel path, or if the
-// quick-fleet verdict tally drifts from 166/25/161.
+// quick-fleet verdict tally drifts from 166/25/161. For CBG++,
+// Quasi-Octant and Hybrid it also locates every quick-fleet server once
+// and records the share of their coverage argmaxes that the strict
+// intersection answered (DESIGN.md §8, "strict-first multilateration").
 //
 // Mode "faults" runs the robustness sweep (experiments.Robustness):
 // the full audit plus a five-algorithm crowd localization at each loss
@@ -79,6 +82,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -151,18 +155,24 @@ type faultsReport struct {
 // (kernel / mask-off), and the full quantized-mask path (after /
 // mask-on). Both diff columns compare against the reference regions
 // summed over every benchmark target and must be zero — runLocate
-// aborts otherwise.
+// aborts otherwise. For the algorithms that multilaterate through
+// geoloc.Env.CoverageArgmax (CBG++, Quasi-Octant, Hybrid), ArgmaxCalls
+// and StrictShare count its calls over one Locate of every quick-fleet
+// server and the share the strict intersection answered without
+// building every region; the rest leave both out.
 type locateRow struct {
-	Algorithm       string  `json:"algorithm"`
-	BeforeMsOp      float64 `json:"before_ms_per_locate"`
-	KernelMsOp      float64 `json:"kernel_mask_off_ms_per_locate"`
-	AfterMsOp       float64 `json:"after_ms_per_locate"`
-	Speedup         float64 `json:"speedup"`
-	KernelSpeedup   float64 `json:"kernel_speedup_vs_reference"`
-	MaskSpeedup     float64 `json:"mask_speedup_vs_kernel"`
-	RegionCells     int     `json:"region_cells"`
-	DiffCells       int     `json:"diff_cells_vs_reference"`
-	KernelDiffCells int     `json:"kernel_diff_cells_vs_reference"`
+	Algorithm       string   `json:"algorithm"`
+	BeforeMsOp      float64  `json:"before_ms_per_locate"`
+	KernelMsOp      float64  `json:"kernel_mask_off_ms_per_locate"`
+	AfterMsOp       float64  `json:"after_ms_per_locate"`
+	Speedup         float64  `json:"speedup"`
+	KernelSpeedup   float64  `json:"kernel_speedup_vs_reference"`
+	MaskSpeedup     float64  `json:"mask_speedup_vs_kernel"`
+	RegionCells     int      `json:"region_cells"`
+	DiffCells       int      `json:"diff_cells_vs_reference"`
+	KernelDiffCells int      `json:"kernel_diff_cells_vs_reference"`
+	ArgmaxCalls     uint64   `json:"argmax_calls,omitempty"`
+	StrictShare     *float64 `json:"strict_share,omitempty"`
 }
 
 type locateReport struct {
@@ -281,6 +291,50 @@ func symmetricDiffCells(a, b interface {
 	return n
 }
 
+// fleetVectors measures every fleet server once with the audit's
+// measurement stream (Lab.Audit's salt 17), for the strict-share pass.
+func fleetVectors(lab *experiments.Lab) [][]geoloc.Measurement {
+	servers := lab.Fleet.Servers()
+	ids := make([]netsim.HostID, len(servers))
+	for i, s := range servers {
+		ids[i] = s.Host.ID
+	}
+	batch := &measure.Batch{
+		Cons:        lab.Cons,
+		Client:      lab.Client,
+		Eta:         measure.DefaultEta,
+		Concurrency: runtime.GOMAXPROCS(0),
+		Seed:        lab.Cfg.Seed*1000003 + 17,
+	}
+	var vectors [][]geoloc.Measurement
+	for _, br := range batch.Run(context.Background(), ids) {
+		if br.Err == nil {
+			vectors = append(vectors, br.Result.Measurements())
+		}
+	}
+	return vectors
+}
+
+// strictShare locates every vector with alg and reports how many
+// Env.CoverageArgmax calls that made and the share the strict
+// intersection answered; nil when alg makes none.
+func strictShare(env *geoloc.Env, alg geoloc.Algorithm, vectors [][]geoloc.Measurement) (uint64, *float64) {
+	before := env.Stats()
+	for _, ms := range vectors {
+		if _, err := alg.Locate(ms); err != nil && !errors.Is(err, geoloc.ErrNoMeasurements) {
+			log.Fatalf("%s strict-share pass: %v", alg.Name(), err)
+		}
+	}
+	after := env.Stats()
+	strict := after.Strict - before.Strict
+	calls := strict + after.Fallbacks - before.Fallbacks
+	if calls == 0 {
+		return 0, nil
+	}
+	share := float64(strict) / float64(calls)
+	return calls, &share
+}
+
 func runLocate(scale string, cfg experiments.Config, out string) {
 	lab, err := experiments.NewLab(cfg)
 	if err != nil {
@@ -299,6 +353,7 @@ func runLocate(scale string, cfg experiments.Config, out string) {
 		}
 	}
 
+	vectors := fleetVectors(lab)
 	model := lab.Spotter.Model()
 	pairs := []struct {
 		name      string
@@ -380,9 +435,14 @@ func runLocate(scale string, cfg experiments.Config, out string) {
 			DiffCells:       maskDiff,
 			KernelDiffCells: kernelDiff,
 		}
+		row.ArgmaxCalls, row.StrictShare = strictShare(lab.Env, p.fast, vectors)
 		rep.Algorithms = append(rep.Algorithms, row)
 		fmt.Fprintf(os.Stderr, "%-13s before %8.3f ms  mask-off %8.3f ms  mask-on %8.3f ms  %6.1fx total (%.1fx from masks, diff %d cells)\n",
 			p.name, row.BeforeMsOp, row.KernelMsOp, row.AfterMsOp, row.Speedup, row.MaskSpeedup, row.DiffCells)
+		if row.StrictShare != nil {
+			fmt.Fprintf(os.Stderr, "%-13s strict intersection answered %.1f%% of %d argmax calls over %d fleet servers\n",
+				p.name, 100**row.StrictShare, row.ArgmaxCalls, len(vectors))
+		}
 		if maskDiff != 0 || kernelDiff != 0 {
 			log.Fatalf("%s: regions differ from reference (kernel diff %d cells, mask diff %d cells) — geometry must be byte-identical",
 				p.name, kernelDiff, maskDiff)

@@ -266,7 +266,7 @@ func (c *CBG) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 			min = i
 		}
 	}
-	region := c.env.CapRegionFor(ms[min].LandmarkID, geo.Cap{Center: ms[min].Landmark, RadiusKm: radii[min]})
+	region := c.env.Region(geoloc.DiskConstraint(ms[min].LandmarkID, geo.Cap{Center: ms[min].Landmark, RadiusKm: radii[min]}))
 	for i, m := range ms {
 		if i == min {
 			continue

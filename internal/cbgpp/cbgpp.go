@@ -62,14 +62,18 @@ func (c *CBGPP) Calibration() *cbg.Calibration { return c.cal }
 // BaselineRegion computes the baseline region for a measurement set: the
 // intersection of the largest consistent subset of 200 km/ms disks.
 func (c *CBGPP) BaselineRegion(ms []geoloc.Measurement) *grid.Region {
-	ms = geoloc.Collapse(ms)
+	return c.baselineRegion(geoloc.Collapse(ms))
+}
+
+// baselineRegion is BaselineRegion over already-collapsed measurements.
+func (c *CBGPP) baselineRegion(ms []geoloc.Measurement) *grid.Region {
 	pad := c.env.PadKm()
-	regions := make([]*grid.Region, 0, len(ms))
+	disks := make([]geoloc.Constraint, 0, len(ms))
 	for _, m := range ms {
 		r := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs) + pad
-		regions = append(regions, c.env.CapRegionFor(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
+		disks = append(disks, geoloc.DiskConstraint(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
 	}
-	best, _ := c.env.Grid.CoverageArgmax(regions)
+	best, _ := c.env.CoverageArgmax(disks)
 	return best
 }
 
@@ -89,19 +93,24 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 	}
 	pad := c.env.PadKm()
 
-	bestlineRegions := make([]*grid.Region, 0, len(ms))
+	bestlines := make([]geoloc.Constraint, 0, len(ms))
 	for _, m := range ms {
 		r := c.cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()) + pad
-		bestlineRegions = append(bestlineRegions, c.env.CapRegionFor(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
+		bestlines = append(bestlines, geoloc.DiskConstraint(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
 	}
 
-	kept := bestlineRegions
+	kept := bestlines
 	if !c.opts.DisableBaselineFilter {
-		baseRegion := c.BaselineRegion(ms)
+		baseRegion := c.baselineRegion(ms)
+		// A bestline disk meets the baseline region iff intersecting it
+		// into a copy of that region leaves a cell.
+		scratch := baseRegion.Clone()
 		kept = kept[:0:0]
-		for _, br := range bestlineRegions {
-			if br.IntersectsRegion(baseRegion) {
-				kept = append(kept, br)
+		for _, b := range bestlines {
+			scratch.CopyFrom(baseRegion)
+			c.env.Intersect(scratch, b)
+			if !scratch.Empty() {
+				kept = append(kept, b)
 			}
 		}
 		if len(kept) == 0 {
@@ -111,7 +120,7 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 		}
 	}
 
-	best, _ := c.env.Grid.CoverageArgmax(kept)
+	best, _ := c.env.CoverageArgmax(kept)
 	return c.env.ApplyExclusions(best), len(kept), nil
 }
 

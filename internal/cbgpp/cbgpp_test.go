@@ -151,8 +151,8 @@ func TestLocateNoMeasurements(t *testing.T) {
 	}
 }
 
-// TestLocateMaskToggle: the two caps CBG++ builds per measurement run
-// through Env.CapRegionFor, so the quantized mask cache must leave the
+// TestLocateMaskToggle: the two disks CBG++ builds per measurement are
+// rasterized by Env.Region, so the quantized mask cache must leave the
 // speed-constrained regions byte-identical to the per-cell fallback.
 func TestLocateMaskToggle(t *testing.T) {
 	cons, _ := algtest.Fixture(t)

@@ -36,7 +36,7 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	check := func(round int) {
 		for _, lm := range cons.Anchors() {
 			radius := 500 + rng.Float64()*8000
-			got := env.CapRegionFor(lm.Host.ID, geo.Cap{Center: lm.Host.Loc, RadiusKm: radius})
+			got := env.Region(DiskConstraint(lm.Host.ID, geo.Cap{Center: lm.Host.Loc, RadiusKm: radius}))
 			if want := oracle(lm.Host.Loc, radius); !got.Equal(want) {
 				t.Fatalf("round %d: stale geometry served for %s at %v (%d vs %d cells)",
 					round, lm.Host.ID, lm.Host.Loc, got.Count(), want.Count())
@@ -73,7 +73,7 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	// part of the cache key, so the stale family cannot match.
 	lm := cons.Anchors()[0]
 	moved := geo.DestinationPoint(lm.Host.Loc, 45, 1200)
-	got := env.CapRegionFor(lm.Host.ID, geo.Cap{Center: moved, RadiusKm: 3000})
+	got := env.Region(DiskConstraint(lm.Host.ID, geo.Cap{Center: moved, RadiusKm: 3000}))
 	if want := oracle(moved, 3000); !got.Equal(want) {
 		t.Fatalf("moved host %s served stale masks (%d vs %d cells)", lm.Host.ID, got.Count(), want.Count())
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"activegeo/internal/geo"
 	"activegeo/internal/grid"
@@ -66,6 +67,10 @@ type Env struct {
 	// and produces byte-identical results — the toggle benchaudit's
 	// mask-off column uses.
 	Masks *grid.MaskCache
+
+	// strictHits and fallbacks count how CoverageArgmax resolved its
+	// calls; see Stats.
+	strictHits, fallbacks atomic.Uint64
 }
 
 // DefaultFieldEntries bounds the distance cache. The paper-scale
@@ -101,26 +106,6 @@ func (e *Env) Distances(id netsim.HostID, landmark geo.Point) []float32 {
 	return e.Field.Distances(grid.FieldKey{ID: string(id), Lat: landmark.Lat, Lon: landmark.Lon})
 }
 
-// CapRegionFor builds the cap's region from the landmark's cached
-// distance field, with AddCap's semantics (the cap center's cell is
-// always included). With the mask cache enabled the fill is word-wise
-// against the bracketing quantized masks; the fallback is the per-cell
-// AddWithinKm scan. Both paths apply the same float64 predicate to
-// every boundary cell, so the regions are byte-identical.
-func (e *Env) CapRegionFor(id netsim.HostID, c geo.Cap) *grid.Region {
-	r := e.Grid.NewRegion()
-	if cm := e.masksFor(id, c.Center); cm != nil {
-		if c.RadiusKm > 0 {
-			cm.FillWithinKm(r, c.RadiusKm)
-		}
-		r.Add(e.Grid.CellAt(c.Center))
-		return r
-	}
-	dist := e.Distances(id, c.Center)
-	r.AddWithinKm(dist, c.RadiusKm, e.Grid.CellAt(c.Center))
-	return r
-}
-
 // IntersectWithinFor prunes r to the cells within maxKm of the
 // landmark — Region.IntersectWithinKm over the landmark's cached
 // distances, word-wise against the quantized masks when the mask cache
@@ -148,46 +133,153 @@ func (e *Env) InvalidateLandmark(id netsim.HostID) (fields, masks int) {
 	return fields, masks
 }
 
-// RingRegionFor builds the ring's region from the landmark's cached
-// distance field, with RingRegion's semantics (including the
-// boundary-cell shrink of the inner cap and AddCap's center-cell rule).
-func (e *Env) RingRegionFor(id netsim.HostID, ring geo.Ring) *grid.Region {
-	g := e.Grid
-	r := g.NewRegion()
-	// RingRegion subtracts the inner cap only when it can be shrunk by
-	// one cell diagonal while staying positive; otherwise boundary cells
-	// (which may still contain ring area) are kept.
+// Constraint is one landmark's distance constraint on the target: the
+// cells whose cached distance d from Center satisfies
+// MinExclusiveKm < d ≤ MaxKm (none when MaxKm ≤ 0). A disk is a ring
+// whose MinExclusiveKm is −Inf; its region always holds the center's
+// cell, as AddCap's does. A ring with a finite inner bound never holds
+// it, as the subtracted inner cap's own center rule removes it.
+type Constraint struct {
+	ID             netsim.HostID
+	Center         geo.Point
+	MinExclusiveKm float64
+	MaxKm          float64
+}
+
+// DiskConstraint is the constraint of the landmark's cap.
+func DiskConstraint(id netsim.HostID, c geo.Cap) Constraint {
+	return Constraint{ID: id, Center: c.Center, MinExclusiveKm: math.Inf(-1), MaxKm: c.RadiusKm}
+}
+
+// RingConstraint is the constraint of the landmark's ring, with
+// RingRegion's semantics: the inner cap is subtracted only when it can
+// be shrunk by 1.5 cell diagonals while staying positive; otherwise
+// boundary cells, which may still contain ring area, are kept and the
+// ring is a disk.
+func (e *Env) RingConstraint(id netsim.HostID, ring geo.Ring) Constraint {
 	shrink := math.Inf(-1)
 	if ring.MinKm > 0 {
-		if s := ring.MinKm - 1.5*111.195*g.Resolution(); s > 0 {
+		if s := ring.MinKm - 1.5*111.195*e.Grid.Resolution(); s > 0 {
 			shrink = s
 		}
 	}
-	if ring.MaxKm > 0 {
-		if cm := e.masksFor(id, ring.Center); cm != nil {
-			// Word-wise: certain ring cells by mask algebra, exact
-			// two-sided predicate only near the two quantization
-			// boundaries. Byte-identical to the scan below.
-			cm.FillRingKm(r, shrink, ring.MaxKm)
-		} else {
-			dist := e.Distances(id, ring.Center)
-			for i, d := range dist {
+	return Constraint{ID: id, Center: ring.Center, MinExclusiveKm: shrink, MaxKm: ring.MaxKm}
+}
+
+func (c Constraint) disk() bool { return math.IsInf(c.MinExclusiveKm, -1) }
+
+// Region builds the constraint's region from the landmark's cached
+// distance field. With the mask cache enabled the fill is word-wise
+// against the bracketing quantized masks; otherwise every cell's
+// distance is tested. Both paths apply the same float64 predicate to
+// every boundary cell, so the regions are byte-identical.
+func (e *Env) Region(c Constraint) *grid.Region {
+	r := e.Grid.NewRegion()
+	if c.MaxKm > 0 {
+		switch cm := e.masksFor(c.ID, c.Center); {
+		case cm == nil:
+			for i, d := range e.Distances(c.ID, c.Center) {
 				dd := float64(d)
-				if dd <= ring.MaxKm && dd > shrink {
+				if dd <= c.MaxKm && dd > c.MinExclusiveKm {
 					r.Add(i)
 				}
 			}
+		case c.disk():
+			cm.FillWithinKm(r, c.MaxKm)
+		default:
+			cm.FillRingKm(r, c.MinExclusiveKm, c.MaxKm)
 		}
 	}
-	// The outer cap's AddCap always includes the center cell; when the
-	// inner cap is subtracted, its own center-cell rule removes it again.
-	cc := g.CellAt(ring.Center)
-	if math.IsInf(shrink, -1) {
+	if cc := e.Grid.CellAt(c.Center); c.disk() {
 		r.Add(cc)
 	} else {
 		r.Remove(cc)
 	}
 	return r
+}
+
+// Intersect prunes r to r ∩ Region(c) in place, without building the
+// constraint's region: only r's cells see the distance predicate.
+func (e *Env) Intersect(r *grid.Region, c Constraint) {
+	cc := e.Grid.CellAt(c.Center)
+	keepCenter := c.disk() && r.Contains(cc)
+	if c.MaxKm > 0 {
+		r.IntersectRingKm(e.Distances(c.ID, c.Center), c.MinExclusiveKm, c.MaxKm)
+	} else {
+		r.Clear()
+	}
+	if keepCenter {
+		r.Add(cc)
+	} else if !c.disk() {
+		r.Remove(cc)
+	}
+}
+
+// CoverageArgmax returns the cells covered by the most constraint
+// regions, and that count: Grid.CoverageArgmax over every Region(c),
+// computed strict-first. Starting from the region of the constraint
+// with the smallest MaxKm, it intersects every other constraint in
+// place. If a cell survives, it is covered by all len(cs) regions,
+// which no cell can beat, so the strict intersection is exactly the
+// argmax and no other region is built. Only when the intersection is
+// empty are all the regions built and counted (DESIGN.md §8).
+func (e *Env) CoverageArgmax(cs []Constraint) (*grid.Region, int) {
+	if len(cs) == 0 {
+		return e.Grid.NewRegion(), 0
+	}
+	first := 0
+	for i, c := range cs {
+		if c.MaxKm < cs[first].MaxKm {
+			first = i
+		}
+	}
+	strict := e.Region(cs[first])
+	for i := 0; i < len(cs) && !strict.Empty(); i++ {
+		if i != first {
+			e.Intersect(strict, cs[i])
+		}
+	}
+	if !strict.Empty() {
+		e.strictHits.Add(1)
+		return strict, len(cs)
+	}
+	e.fallbacks.Add(1)
+	regions := make([]*grid.Region, len(cs))
+	for i, c := range cs {
+		regions[i] = e.Region(c)
+	}
+	return e.Grid.CoverageArgmax(regions)
+}
+
+// IntersectOrArgmax multilaterates ring/disk constraints: the strict
+// intersection of all of them when it is nonempty; when noise makes it
+// empty (common for ring constraints at world scale, §5), the cells
+// covered by the largest consistent subset. The strict path keeps
+// successful predictions small — the behaviour behind the paper's
+// Figure 9C, where ring-based algorithms produce much smaller (and
+// often wrong) regions than CBG.
+func (e *Env) IntersectOrArgmax(cs []Constraint) *grid.Region {
+	best, count := e.CoverageArgmax(cs)
+	// Octant's weighted regions reduce to the maximum-coverage cells
+	// when all weights are equal — but a region where only a minority
+	// of constraints agree is no prediction at all, so require a clear
+	// majority.
+	if count*2 < len(cs) {
+		return e.Grid.NewRegion()
+	}
+	return best
+}
+
+// ArgmaxStats counts how CoverageArgmax resolved its calls: by the
+// strict intersection, or by building and counting every region.
+type ArgmaxStats struct {
+	Strict    uint64
+	Fallbacks uint64
+}
+
+// Stats returns a snapshot of the CoverageArgmax counters.
+func (e *Env) Stats() ArgmaxStats {
+	return ArgmaxStats{Strict: e.strictHits.Load(), Fallbacks: e.fallbacks.Load()}
 }
 
 // PadKm is the conservative rasterization margin for this grid: a cell
@@ -230,35 +322,6 @@ func Collapse(ms []Measurement) []Measurement {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LandmarkID < out[j].LandmarkID })
 	return out
-}
-
-// IntersectOrArgmax multilaterates ring/disk constraint regions: it
-// first tries the strict intersection of all constraints; when noise
-// makes that empty (common for ring constraints at world scale, §5),
-// it falls back to the cells covered by the largest consistent subset.
-// The strict path keeps successful predictions small — the behaviour
-// behind the paper's Figure 9C, where ring-based algorithms produce
-// much smaller (and often wrong) regions than CBG.
-func IntersectOrArgmax(g *grid.Grid, regions []*grid.Region) *grid.Region {
-	if len(regions) == 0 {
-		return g.NewRegion()
-	}
-	strict := regions[0].Clone()
-	for _, r := range regions[1:] {
-		strict.IntersectWith(r)
-		if strict.Empty() {
-			// Octant's weighted regions reduce to the maximum-coverage
-			// cells when all weights are equal — but a region where only
-			// a minority of constraints agree is no prediction at all,
-			// so require a clear majority.
-			best, count := g.CoverageArgmax(regions)
-			if count*2 < len(regions) {
-				return g.NewRegion()
-			}
-			return best
-		}
-	}
-	return strict
 }
 
 // RingRegion builds the region covered by a spherical annulus.

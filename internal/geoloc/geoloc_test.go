@@ -6,6 +6,7 @@ import (
 
 	"activegeo/internal/geo"
 	"activegeo/internal/grid"
+	"activegeo/internal/netsim"
 )
 
 var (
@@ -114,28 +115,32 @@ func TestCoverageArgmax(t *testing.T) {
 	}
 }
 
+// disk is a test disk constraint; each landmark gets its own ID so the
+// Env caches stay keyed correctly.
+func disk(id string, lat, lon, radiusKm float64) Constraint {
+	return DiskConstraint(netsim.HostID(id), geo.Cap{Center: geo.Point{Lat: lat, Lon: lon}, RadiusKm: radiusKm})
+}
+
 func TestIntersectOrArgmaxStrict(t *testing.T) {
 	e := testEnv(t)
-	g := e.Grid
-	a := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1500})
-	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1500})
-	strict := IntersectOrArgmax(g, []*grid.Region{a, b})
-	want := a.Clone()
-	want.IntersectWith(b)
-	if strict.Count() != want.Count() {
-		t.Errorf("strict path: %d cells, want %d", strict.Count(), want.Count())
+	a := disk("strict-a", 50, 10, 1500)
+	b := disk("strict-b", 51, 12, 1500)
+	strict := e.IntersectOrArgmax([]Constraint{a, b})
+	want := e.Region(a)
+	want.IntersectWith(e.Region(b))
+	if want.Empty() || !strict.Equal(want) {
+		t.Errorf("strict path: %d cells, want the %d-cell intersection", strict.Count(), want.Count())
 	}
 }
 
 func TestIntersectOrArgmaxFallback(t *testing.T) {
 	e := testEnv(t)
-	g := e.Grid
-	// Three regions: a and b overlap; c is disjoint → strict intersection
-	// empty → majority fallback (2 of 3) returns a∩b.
-	a := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1200})
-	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1200})
-	c := g.CapRegion(geo.Cap{Center: geo.Point{Lat: -30, Lon: 140}, RadiusKm: 500})
-	out := IntersectOrArgmax(g, []*grid.Region{a, b, c})
+	// Three constraints: a and b overlap; c is disjoint → strict
+	// intersection empty → majority fallback (2 of 3) returns a∩b.
+	a := disk("fb-a", 50, 10, 1200)
+	b := disk("fb-b", 51, 12, 1200)
+	c := disk("fb-c", -30, 140, 500)
+	out := e.IntersectOrArgmax([]Constraint{a, b, c})
 	if out.Empty() {
 		t.Fatal("fallback should be nonempty (2/3 majority)")
 	}
@@ -143,16 +148,18 @@ func TestIntersectOrArgmaxFallback(t *testing.T) {
 		t.Error("fallback should cover the a∩b lens")
 	}
 
-	// No majority: four pairwise-disjoint regions → empty result.
-	d1 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 0, Lon: 0}, RadiusKm: 300})
-	d2 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 0, Lon: 90}, RadiusKm: 300})
-	d3 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 0, Lon: -90}, RadiusKm: 300})
-	d4 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 60, Lon: 180}, RadiusKm: 300})
-	out = IntersectOrArgmax(g, []*grid.Region{d1, d2, d3, d4})
+	// No majority: four pairwise-disjoint constraints → empty result.
+	d := []Constraint{
+		disk("fb-d1", 0, 0, 300),
+		disk("fb-d2", 0, 90, 300),
+		disk("fb-d3", 0, -90, 300),
+		disk("fb-d4", 60, 180, 300),
+	}
+	out = e.IntersectOrArgmax(d)
 	if !out.Empty() {
 		t.Errorf("minority agreement should yield no prediction, got %d cells", out.Count())
 	}
-	if out := IntersectOrArgmax(g, nil); !out.Empty() {
+	if out := e.IntersectOrArgmax(nil); !out.Empty() {
 		t.Error("no constraints should give empty region")
 	}
 }

@@ -31,7 +31,7 @@ func randomPoint(rng *rand.Rand) geo.Point {
 	}
 }
 
-// TestEnvMaskEquivalence: CapRegionFor, RingRegionFor and
+// TestEnvMaskEquivalence: Region (for disk and ring constraints) and
 // IntersectWithinFor must be byte-identical with and without the mask
 // cache, including degenerate radii (≤ 0), rings with no usable inner
 // bound, inverted rings, and radii past the antipode.
@@ -41,6 +41,15 @@ func TestEnvMaskEquivalence(t *testing.T) {
 		t.Fatal("NewEnv did not wire a mask cache")
 	}
 	rng := rand.New(rand.NewSource(91))
+	sameBothWays := func(c Constraint) {
+		t.Helper()
+		on := env.Region(c)
+		var off *grid.Region
+		withMasksOff(env, func() { off = env.Region(c) })
+		if !on.Equal(off) {
+			t.Fatalf("constraint %+v: mask-on %d cells, mask-off %d", c, on.Count(), off.Count())
+		}
+	}
 	for k := 0; k < 25; k++ {
 		id := netsim.HostID(fmt.Sprintf("lm-%d", k%7)) // repeats → cache hits
 		p := randomPoint(rng)
@@ -51,13 +60,7 @@ func TestEnvMaskEquivalence(t *testing.T) {
 			math.Pi*geo.EarthRadiusKm + 50,
 		}
 		for _, radius := range radii {
-			cap := geo.Cap{Center: p, RadiusKm: radius}
-			on := env.CapRegionFor(id, cap)
-			var off *grid.Region
-			withMasksOff(env, func() { off = env.CapRegionFor(id, cap) })
-			if !on.Equal(off) {
-				t.Fatalf("cap %v r=%v: mask-on %d cells, mask-off %d", p, radius, on.Count(), off.Count())
-			}
+			sameBothWays(DiskConstraint(id, geo.Cap{Center: p, RadiusKm: radius}))
 		}
 		rings := []geo.Ring{
 			{Center: p, MinKm: rng.Float64() * 3000, MaxKm: rng.Float64() * geo.HalfEquatorKm},
@@ -67,12 +70,7 @@ func TestEnvMaskEquivalence(t *testing.T) {
 			{Center: p, MinKm: 0, MaxKm: 0},       // empty outer
 		}
 		for _, ring := range rings {
-			on := env.RingRegionFor(id, ring)
-			var off *grid.Region
-			withMasksOff(env, func() { off = env.RingRegionFor(id, ring) })
-			if !on.Equal(off) {
-				t.Fatalf("ring %+v: mask-on %d cells, mask-off %d", ring, on.Count(), off.Count())
-			}
+			sameBothWays(env.RingConstraint(id, ring))
 		}
 		base := env.Grid.CapRegion(geo.Cap{Center: randomPoint(rng), RadiusKm: 4000 + rng.Float64()*8000})
 		maxKm := rng.Float64() * geo.HalfEquatorKm
@@ -91,7 +89,7 @@ func TestEnvMaskEquivalence(t *testing.T) {
 func TestInvalidateLandmark(t *testing.T) {
 	env := NewEnv(5)
 	p := geo.Point{Lat: 48.85, Lon: 2.35}
-	env.CapRegionFor("warm", geo.Cap{Center: p, RadiusKm: 1000})
+	env.Region(DiskConstraint("warm", geo.Cap{Center: p, RadiusKm: 1000}))
 	if f, m := env.InvalidateLandmark("warm"); f != 1 || m != 1 {
 		t.Fatalf("InvalidateLandmark(warm) = (%d fields, %d masks), want (1, 1)", f, m)
 	}

@@ -282,6 +282,13 @@ func (r *Region) Each(fn func(i int)) {
 	}
 }
 
+// CopyFrom makes r hold exactly the cells of src, which must belong to
+// the same grid, without allocating.
+func (r *Region) CopyFrom(src *Region) { copy(r.bits, src.bits) }
+
+// Clear removes every cell.
+func (r *Region) Clear() { clear(r.bits) }
+
 // IntersectWith removes every cell of r not present in other.
 func (r *Region) IntersectWith(other *Region) {
 	for i := range r.bits {
@@ -608,6 +615,31 @@ func (r *Region) IntersectWithinKm(dist []float32, maxKm float64) {
 			b := bits.TrailingZeros64(t)
 			if float64(dist[base+b]) > maxKm {
 				keep &^= 1 << uint(b)
+			}
+		}
+		r.bits[w] = keep
+	}
+}
+
+// IntersectRingKm keeps only the cells whose precomputed distance d
+// satisfies minExclusiveKm < d ≤ maxKm; minExclusiveKm may be −Inf.
+// dist must be a slice of length NumCells in cell order. Like
+// IntersectWithinKm it skips zero words and stores one keep-mask per
+// word. The predicate is CapMasks.FillRingKm's, written the same way, so
+// intersecting in place gives the same bits as intersecting with the
+// filled ring.
+func (r *Region) IntersectRingKm(dist []float32, minExclusiveKm, maxKm float64) {
+	for w, word := range r.bits {
+		if word == 0 {
+			continue
+		}
+		var keep uint64
+		base := w * 64
+		for t := word; t != 0; t &= t - 1 {
+			b := bits.TrailingZeros64(t)
+			dd := float64(dist[base+b])
+			if dd <= maxKm && dd > minExclusiveKm {
+				keep |= 1 << uint(b)
 			}
 		}
 		r.bits[w] = keep

@@ -77,6 +77,54 @@ func TestIntersectWithinKmMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIntersectRingKmMatchesFill: intersecting a region with a ring in
+// place must give the same bits as intersecting it with the ring's
+// filled region, for finite, −Inf, inverted and degenerate bounds.
+func TestIntersectRingKmMatchesFill(t *testing.T) {
+	g := New(2.5)
+	rng := rand.New(rand.NewSource(33))
+	for k := 0; k < 60; k++ {
+		r := randomRegion(g, rng)
+		lm := randomCap(rng).Center
+		dist := g.DistancesFrom(lm)
+		cm := newCapMasks(g, dist, DefaultMaskStepKm, nil)
+		bounds := [][2]float64{
+			{math.Inf(-1), rng.Float64() * geo.HalfEquatorKm},
+			{rng.Float64() * 3000, rng.Float64() * geo.HalfEquatorKm},
+			{5000, 4000},
+			{0, 0},
+			{math.Inf(-1), -1},
+		}
+		for _, mm := range bounds {
+			got := r.Clone()
+			got.IntersectRingKm(dist, mm[0], mm[1])
+			ring := g.NewRegion()
+			cm.FillRingKm(ring, mm[0], mm[1])
+			want := r.Clone()
+			want.IntersectWith(ring)
+			if !got.Equal(want) {
+				t.Fatalf("ring (%v, %v]: in-place %d cells, filled %d", mm[0], mm[1], got.Count(), want.Count())
+			}
+		}
+	}
+}
+
+// TestCopyFromAndClear: CopyFrom reproduces the source's bits into a
+// region that held other cells, and Clear empties it.
+func TestCopyFromAndClear(t *testing.T) {
+	g := New(2.5)
+	rng := rand.New(rand.NewSource(34))
+	src, dst := randomRegion(g, rng), g.FullRegion()
+	dst.CopyFrom(src)
+	if !dst.Equal(src) {
+		t.Fatalf("CopyFrom: %d cells, want %d", dst.Count(), src.Count())
+	}
+	dst.Clear()
+	if !dst.Empty() {
+		t.Fatalf("Clear left %d cells", dst.Count())
+	}
+}
+
 // TestCountInRange checks the word-masked popcount against a brute
 // count, including unaligned and cross-word ranges.
 func TestCountInRange(t *testing.T) {

@@ -59,7 +59,7 @@ func (h *Hybrid) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		return nil, geoloc.ErrNoMeasurements
 	}
 	pad := h.env.PadKm()
-	regions := make([]*grid.Region, 0, len(ms))
+	rings := make([]geoloc.Constraint, 0, len(ms))
 	for _, m := range ms {
 		t := m.OneWayMs()
 		mu, sig := h.model.MuKm(t), h.model.SigmaKm(t)
@@ -72,9 +72,9 @@ func (h *Hybrid) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		if r.MinKm < 0 {
 			r.MinKm = 0
 		}
-		regions = append(regions, h.env.RingRegionFor(m.LandmarkID, r))
+		rings = append(rings, h.env.RingConstraint(m.LandmarkID, r))
 	}
-	best := geoloc.IntersectOrArgmax(h.env.Grid, regions)
+	best := h.env.IntersectOrArgmax(rings)
 	return h.env.ApplyExclusions(best), nil
 }
 

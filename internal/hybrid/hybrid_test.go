@@ -77,8 +77,8 @@ func TestLocateNoMeasurements(t *testing.T) {
 	}
 }
 
-// TestLocateMaskToggle: Hybrid's σ-span rings run through
-// Env.RingRegionFor, so the quantized mask cache must leave its regions
+// TestLocateMaskToggle: Hybrid's σ-span ring constraints are rasterized
+// by Env.Region, so the quantized mask cache must leave its regions
 // byte-identical to the per-cell ring scan.
 func TestLocateMaskToggle(t *testing.T) {
 	cons, env := algtest.Fixture(t)

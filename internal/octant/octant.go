@@ -240,7 +240,7 @@ func (o *Octant) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		return nil, geoloc.ErrNoMeasurements
 	}
 	pad := o.env.PadKm()
-	regions := make([]*grid.Region, 0, len(ms))
+	rings := make([]geoloc.Constraint, 0, len(ms))
 	for _, m := range ms {
 		cv := o.cal.Curves(m.LandmarkID)
 		t := m.OneWayMs()
@@ -252,9 +252,9 @@ func (o *Octant) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		if r.MinKm < 0 {
 			r.MinKm = 0
 		}
-		regions = append(regions, o.env.RingRegionFor(m.LandmarkID, r))
+		rings = append(rings, o.env.RingConstraint(m.LandmarkID, r))
 	}
-	best := geoloc.IntersectOrArgmax(o.env.Grid, regions)
+	best := o.env.IntersectOrArgmax(rings)
 	return o.env.ApplyExclusions(best), nil
 }
 

@@ -139,8 +139,8 @@ func TestProbeFallsBackToPooled(t *testing.T) {
 	}
 }
 
-// TestLocateMaskToggle: Quasi-Octant's ring constraints run through
-// Env.RingRegionFor, so the quantized mask cache must leave its regions
+// TestLocateMaskToggle: Quasi-Octant's ring constraints are rasterized
+// by Env.Region, so the quantized mask cache must leave its regions
 // byte-identical to the per-cell ring scan.
 func TestLocateMaskToggle(t *testing.T) {
 	cons, env := algtest.Fixture(t)

@@ -129,9 +129,9 @@ func CoverageArgmax(g *grid.Grid, regions []*grid.Region) (*grid.Region, int) {
 	return out, int(maxc)
 }
 
-// intersectOrArgmax is geoloc.IntersectOrArgmax over the per-cell
-// counter: the strict intersection, or the majority argmax when the
-// intersection is empty.
+// intersectOrArgmax is the oracle for geoloc.Env.IntersectOrArgmax, over
+// already-built regions and the per-cell counter: the strict
+// intersection, or the majority argmax when the intersection is empty.
 func intersectOrArgmax(g *grid.Grid, regions []*grid.Region) *grid.Region {
 	if len(regions) == 0 {
 		return g.NewRegion()
