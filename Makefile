@@ -16,7 +16,7 @@
 #   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, netsim's closed form,
 #                      mathx's selection medians and geoloc's strict-first argmax
 #   make cover         per-package coverage with an 85% floor on the service, detect, netsim,
-#                      grid, geoloc and mathx packages
+#                      grid, geoloc, mathx and stream packages
 #   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
 #   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
 #   make bench-faults  robustness sweep: tallies vs injected loss -> BENCH_faults.json
@@ -129,8 +129,10 @@ fuzz-smoke:
 # an attacker sits in. The simulator, the grid, geoloc and mathx carry
 # the bit-exact hot kernels (closed-form seeded uniforms, bit-sliced
 # coverage argmax, strict-first multilateration, selection medians),
-# where an untested branch is a silent golden drift. Profiles are left on disk (cover_<pkg>.out) for
-# CI to archive.
+# where an untested branch is a silent golden drift. The stream package
+# holds the per-server audit kernel both audit engines run, and the
+# streaming scheduler's cancel and backpressure paths. Profiles are left
+# on disk (cover_<pkg>.out) for CI to archive.
 cover:
 	$(GO) test -coverprofile=cover_atlasd.out ./internal/atlasd
 	$(GO) test -coverprofile=cover_loadgen.out ./internal/loadgen
@@ -139,7 +141,8 @@ cover:
 	$(GO) test -coverprofile=cover_grid.out ./internal/grid
 	$(GO) test -coverprofile=cover_geoloc.out ./internal/geoloc
 	$(GO) test -coverprofile=cover_mathx.out ./internal/mathx
-	@for f in cover_atlasd.out cover_loadgen.out cover_detect.out cover_netsim.out cover_grid.out cover_geoloc.out cover_mathx.out; do \
+	$(GO) test -coverprofile=cover_stream.out ./internal/stream
+	@for f in cover_atlasd.out cover_loadgen.out cover_detect.out cover_netsim.out cover_grid.out cover_geoloc.out cover_mathx.out cover_stream.out; do \
 		total=$$($(GO) tool cover -func=$$f | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		echo "$$f: total coverage $$total% (floor $(COVER_FLOOR)%)"; \
 		if [ "$$(awk -v t="$$total" -v floor="$(COVER_FLOOR)" 'BEGIN { print (t+0 >= floor+0) }')" != "1" ]; then \

@@ -39,6 +39,7 @@ import (
 
 	"activegeo/internal/assess"
 	"activegeo/internal/experiments"
+	"activegeo/internal/measure"
 	"activegeo/internal/telemetry"
 	"activegeo/internal/vis"
 )
@@ -138,7 +139,7 @@ func main() {
 		meanCov := 0.0
 		for _, r := range run.Results {
 			if c, ok := run.Coverage[r.ServerID]; ok {
-				meanCov += c.Coverage
+				meanCov += c.Coverage()
 			}
 		}
 		meanCov /= float64(len(run.Coverage))
@@ -180,8 +181,8 @@ func main() {
 			if r.Verdict == assess.Uncertain && len(r.Candidates) > 1 {
 				extra = fmt.Sprintf(" (could be: %v)", r.Candidates)
 			}
-			if c, ok := run.Coverage[r.ServerID]; ok && c.Confidence != "full" {
-				extra += fmt.Sprintf(" [coverage %d/%d, confidence %s]", c.Measured, c.Planned, c.Confidence)
+			if c, ok := run.Coverage[r.ServerID]; ok && c.Confidence() != measure.ConfidenceFull {
+				extra += fmt.Sprintf(" [coverage %d/%d, confidence %s]", c.Measured, c.Planned, c.Confidence())
 			}
 			fmt.Printf("  %-14s provider %s  claimed %s  verdict %-9s probable %s%s\n",
 				r.ServerID, r.Provider, r.ClaimedCountry, r.Verdict, r.ProbableCountry, extra)

@@ -17,7 +17,7 @@ import (
 //     declared outside the literal, or that passes one as an argument;
 //   - a function literal capturing an outer *rand.Rand handed to a
 //     worker-pool-shaped callee (name containing "parallel", "worker",
-//     "pool", "spawn" or "async", e.g. experiments.parallelFor);
+//     "pool", "spawn" or "async", e.g. stream.ParallelFor);
 //   - an HTTP handler — any func or method with the
 //     (http.ResponseWriter, *http.Request) signature — touching a
 //     *rand.Rand declared outside it (typically a server struct

@@ -14,7 +14,7 @@ import (
 	"sync"
 )
 
-// parallelFor mirrors experiments.parallelFor — the callee-name
+// parallelFor mirrors stream.ParallelFor — the callee-name
 // heuristic treats it as a worker pool.
 func parallelFor(n int, fn func(int)) {
 	for i := 0; i < n; i++ {

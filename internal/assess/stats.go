@@ -20,24 +20,29 @@ type Tally struct {
 // Total returns the number of tallied results.
 func (t Tally) Total() int { return t.Credible + t.Uncertain + t.False }
 
+// Add counts one result by its final and continent verdicts.
+func (t *Tally) Add(verdict, cont Verdict) {
+	switch verdict {
+	case Credible:
+		t.Credible++
+	case Uncertain:
+		t.Uncertain++
+		if cont != False {
+			t.UncertainSameCont++
+		}
+	case False:
+		t.False++
+		if cont == False {
+			t.FalseOffContinent++
+		}
+	}
+}
+
 // Tabulate computes the overall tally from results.
 func Tabulate(results []*Result) Tally {
 	var t Tally
 	for _, r := range results {
-		switch r.Verdict {
-		case Credible:
-			t.Credible++
-		case Uncertain:
-			t.Uncertain++
-			if r.ContVerdict != False {
-				t.UncertainSameCont++
-			}
-		case False:
-			t.False++
-			if r.ContVerdict == False {
-				t.FalseOffContinent++
-			}
-		}
+		t.Add(r.Verdict, r.ContVerdict)
 	}
 	return t
 }

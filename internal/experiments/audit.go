@@ -11,7 +11,6 @@ import (
 	"activegeo/internal/datacenter"
 	"activegeo/internal/detect"
 	"activegeo/internal/geo"
-	"activegeo/internal/geoloc"
 	"activegeo/internal/grid"
 	"activegeo/internal/iclab"
 	"activegeo/internal/ipdb"
@@ -19,6 +18,7 @@ import (
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/proxy"
+	"activegeo/internal/stream"
 	"activegeo/internal/worldmap"
 )
 
@@ -41,7 +41,7 @@ func (l *Lab) Fig13Eta() (*Fig13Result, error) {
 	}
 	pairs := make([]etaPair, len(pingable))
 	span := l.Telemetry.StartStage("fig13.measure")
-	parallelFor(len(pingable), l.Concurrency(), func(i int) {
+	stream.ParallelFor(len(pingable), l.Concurrency(), func(i int) {
 		s := pingable[i]
 		rng := l.rngFor(13, s.Host.ID)
 		// Direct and indirect measurements both take min-of-8 samples:
@@ -103,43 +103,12 @@ func (r *Fig14Result) Render() string {
 	return b.String()
 }
 
-// Audit pipeline stage names, as recorded in AuditRun.Errors and the
-// telemetry collector.
-const (
-	StageMeasure = "measure"
-	StageLocate  = "locate"
-)
-
 // ServerError records why one server produced no prediction region: its
 // measurement failed outright (or yielded too few usable samples), or
 // CBG++ localization failed on the measurements it did produce.
 type ServerError struct {
-	Stage string // StageMeasure or StageLocate
+	Stage string // stream.StageMeasure or stream.StageLocate
 	Err   error
-}
-
-// CoverageNote annotates one server's verdict with what its measurement
-// campaign lost under fault injection: the audit's answer to "how much
-// should this verdict be trusted?".
-type CoverageNote struct {
-	// Planned/Measured count landmarks attempted and landmarks that
-	// produced a usable sample.
-	Planned  int
-	Measured int
-	// Retries and ProbeFailures are the resilience layer's work:
-	// backoff-retry rounds and failed measurement attempts.
-	Retries       int
-	ProbeFailures int
-	// LostLandmarks are the landmarks that never answered (sorted).
-	LostLandmarks []netsim.HostID
-	// Disconnected marks a proxy that hung up mid-campaign;
-	// BudgetExhausted a campaign cut off by its deadline budget.
-	Disconnected    bool
-	BudgetExhausted bool
-	// Coverage is Measured/Planned; Confidence the derived grade
-	// (measure.ConfidenceFull/Degraded/Low).
-	Coverage   float64
-	Confidence string
 }
 
 // AuditRun is the memoized output of the full §6 pipeline.
@@ -147,31 +116,20 @@ type AuditRun struct {
 	Results []*assess.Result
 	// byServer maps server IDs to results for cross-referencing.
 	byServer map[string]*assess.Result
-	// ReclassifiedByDC counts uncertain→(credible|false) flips from the
-	// data-center check; ReclassifiedByGroup from the AS//24 check.
-	ReclassifiedByDC    int
-	ReclassifiedByGroup int
+	// Stats are the audit-wide aggregates: failures by stage, the
+	// disambiguation flips, and the fault and adversary totals.
+	stream.Stats
 
 	// Errors maps server IDs to the reason the pipeline produced no
 	// region for them. Such servers are assessed against an empty
 	// region (verdict uncertain), but the Figure 17 tallies can now
 	// distinguish "measured and uncertain" from "never measured".
 	Errors map[string]ServerError
-	// MeasureFailures and LocateFailures are the per-stage aggregate
-	// counts behind Errors.
-	MeasureFailures int
-	LocateFailures  int
 
-	// Coverage maps server IDs to their degradation annotations. Only
+	// Coverage maps server IDs to their measurement's fault ledger. Only
 	// populated when fault injection is armed: on the fault-free path
 	// the map is empty and the audit output is unchanged.
-	Coverage map[string]CoverageNote
-	// Fault-resilience aggregates over all servers.
-	Retries         int
-	ProbeFailures   int
-	LostLandmarks   int
-	Disconnects     int
-	DegradedServers int // servers whose confidence is not "full"
+	Coverage map[string]measure.Degradation
 
 	// Adversary-detection outputs. Only populated when the lab's
 	// adversary plan is armed: on the honest path every field below is
@@ -182,15 +140,12 @@ type AuditRun struct {
 	// Flagged IDs (copied here, sorted) were excluded from every
 	// server's localization inputs — ExcludedMeasurements counts the
 	// samples dropped that way.
-	Landmarks            *detect.LandmarkReport
-	FlaggedLandmarks     []netsim.HostID
-	ExcludedMeasurements int
+	Landmarks        *detect.LandmarkReport
+	FlaggedLandmarks []netsim.HostID
 	// Inspections maps server IDs to their full manipulation
 	// inspection (the verdict fields on assess.Result are a summary of
 	// these).
 	Inspections map[string]detect.Inspection
-	// SuspectedServers counts manipulation-suspected verdicts.
-	SuspectedServers int
 }
 
 // Audit runs (once) the full pipeline: for every server, self-ping,
@@ -220,7 +175,7 @@ func (l *Lab) Audit() (*AuditRun, error) {
 	run := &AuditRun{
 		byServer: make(map[string]*assess.Result, len(servers)),
 		Errors:   map[string]ServerError{},
-		Coverage: map[string]CoverageNote{},
+		Coverage: map[string]measure.Degradation{},
 	}
 
 	// Stage 0 (adversary plan armed only): cross-validate every anchor
@@ -230,12 +185,10 @@ func (l *Lab) Audit() (*AuditRun, error) {
 	// per-server manipulation detectors compare against.
 	plan := l.Adversary
 	var lmReport *detect.LandmarkReport
-	var inspectCfg detect.InspectConfig
 	if plan.Enabled() {
 		span := tel.StartStage("audit.crossvalidate")
 		edges := detect.MeshEdges(l.Cons, plan.ReportedPosition, plan.ReportBiasMs)
 		lmReport = detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
-		inspectCfg = detect.DefaultInspectConfig()
 		run.AdversaryArmed = true
 		run.Landmarks = lmReport
 		run.FlaggedLandmarks = append([]netsim.HostID(nil), lmReport.Flagged...)
@@ -267,50 +220,12 @@ func (l *Lab) Audit() (*AuditRun, error) {
 	// Stage 2: CBG++ localization + claim assessment, worker pool with
 	// per-index slots merged in fleet order.
 	span = tel.StartStage("audit.locate")
-	assessed := make([]*assess.Result, len(servers))
-	serverErrs := make([]*ServerError, len(servers))
-	inspections := make([]detect.Inspection, len(servers))
-	excluded := make([]int, len(servers))
+	audits := make([]stream.ServerAudit, len(servers))
 	var located int64
-	parallelFor(len(servers), l.Concurrency(), func(i int) {
+	stream.ParallelFor(len(servers), l.Concurrency(), func(i int) {
 		s := servers[i]
-		region := l.Env.Grid.NewRegion()
-		var ms []geoloc.Measurement
-		switch {
-		case measured[i].Err != nil:
-			serverErrs[i] = &ServerError{Stage: StageMeasure, Err: measured[i].Err}
-		default:
-			ms = measured[i].Result.Measurements()
-			if run.AdversaryArmed {
-				// Flagged landmarks' reports are poison: drop them from
-				// the localization inputs before fitting a region.
-				kept := make([]geoloc.Measurement, 0, len(ms))
-				for _, m := range ms {
-					if !lmReport.IsFlagged(m.LandmarkID) {
-						kept = append(kept, m)
-					}
-				}
-				excluded[i] = len(ms) - len(kept)
-				ms = kept
-			}
-			if len(ms) < 4 {
-				serverErrs[i] = &ServerError{
-					Stage: StageMeasure,
-					Err:   fmt.Errorf("experiments: only %d usable measurements (need 4)", len(ms)),
-				}
-			} else if r2, lerr := l.CBGpp.Locate(ms); lerr != nil {
-				serverErrs[i] = &ServerError{Stage: StageLocate, Err: lerr}
-			} else {
-				region = r2
-			}
-		}
-		a := assess.Assess(l.Env.Mask, region, string(s.Host.ID), s.Provider, s.ClaimedCountry)
-		if run.AdversaryArmed {
-			if c, ok := region.Centroid(); ok {
-				inspections[i] = detect.InspectServer(ms, c, inspectCfg)
-			}
-		}
-		assessed[i] = a
+		spec := stream.ServerSpec{ID: s.Host.ID, Provider: s.Provider, Claimed: s.ClaimedCountry}
+		audits[i] = stream.AuditServer(l.Env, l.Env.Mask, l.CBGpp, lmReport, measured[i], spec)
 		tel.Progress("audit.locate", int(atomic.AddInt64(&located, 1)), len(servers))
 	})
 	span.End()
@@ -320,46 +235,41 @@ func (l *Lab) Audit() (*AuditRun, error) {
 	// network doesn't read as an attack and a quiet one doesn't hide it.
 	if run.AdversaryArmed {
 		byID := make(map[string]detect.Inspection, len(servers))
-		for i, a := range assessed {
-			byID[a.ServerID] = inspections[i]
+		for _, sa := range audits {
+			byID[sa.Result.ServerID] = sa.Inspection
 		}
-		judged := detect.JudgeServers(byID, inspectCfg)
-		for i, a := range assessed {
-			inspections[i] = judged[a.ServerID]
-			a.ManipulationSuspected = inspections[i].Suspected
-			a.ManipulationScore = inspections[i].Score
-			a.ManipulationReasons = inspections[i].Reasons
+		judged := detect.JudgeServers(byID, detect.DefaultInspectConfig())
+		for i := range audits {
+			a := audits[i].Result
+			insp := judged[a.ServerID]
+			audits[i].Inspection = insp
+			a.ManipulationSuspected = insp.Suspected
+			a.ManipulationScore = insp.Score
+			a.ManipulationReasons = insp.Reasons
 		}
 	}
 
-	for i, a := range assessed {
-		if e := serverErrs[i]; e != nil {
-			run.Errors[a.ServerID] = *e
-			if e.Stage == StageMeasure {
+	run.Servers = len(servers)
+	for i, sa := range audits {
+		a := sa.Result
+		if sa.ErrStage != "" {
+			run.Errors[a.ServerID] = ServerError{Stage: sa.ErrStage, Err: sa.Err}
+			if sa.ErrStage == stream.StageMeasure {
 				run.MeasureFailures++
 			} else {
 				run.LocateFailures++
 			}
 		}
 		if res := measured[i].Result; res != nil && res.Deg != nil {
-			note := coverageNote(res.Deg)
-			run.Coverage[a.ServerID] = note
-			run.Retries += note.Retries
-			run.ProbeFailures += note.ProbeFailures
-			run.LostLandmarks += len(note.LostLandmarks)
-			if note.Disconnected {
-				run.Disconnects++
-			}
-			if note.Confidence != measure.ConfidenceFull {
-				run.DegradedServers++
-			}
+			run.Coverage[a.ServerID] = *res.Deg
+			run.AddCoverage(res.Deg)
 		}
 		if a.VerdictRaw == assess.Uncertain && a.Verdict != assess.Uncertain {
 			run.ReclassifiedByDC++
 		}
 		if run.AdversaryArmed {
-			run.ExcludedMeasurements += excluded[i]
-			run.Inspections[a.ServerID] = inspections[i]
+			run.ExcludedMeasurements += sa.Excluded
+			run.Inspections[a.ServerID] = sa.Inspection
 			if a.ManipulationSuspected {
 				run.SuspectedServers++
 			}
@@ -425,22 +335,6 @@ func (l *Lab) Audit() (*AuditRun, error) {
 	}
 	l.audit = run
 	return run, nil
-}
-
-// coverageNote converts a measurement-layer degradation ledger into the
-// audit's per-server annotation.
-func coverageNote(d *measure.Degradation) CoverageNote {
-	return CoverageNote{
-		Planned:         d.Planned,
-		Measured:        d.Measured,
-		Retries:         d.Retries,
-		ProbeFailures:   d.ProbeFailures,
-		LostLandmarks:   append([]netsim.HostID(nil), d.LostLandmarks...),
-		Disconnected:    d.Disconnected,
-		BudgetExhausted: d.BudgetExhausted,
-		Coverage:        d.Coverage(),
-		Confidence:      d.Confidence(),
-	}
 }
 
 func countUncertain(rs []*assess.Result) int {

@@ -71,13 +71,13 @@ func TestAuditWithFaultsAnnotates(t *testing.T) {
 		if c.Planned < c.Measured || c.Planned != c.Measured+len(c.LostLandmarks) {
 			t.Errorf("server %s: inconsistent note %+v", id, c)
 		}
-		if c.Coverage < 0 || c.Coverage > 1 {
-			t.Errorf("server %s: coverage %v out of range", id, c.Coverage)
+		if c.Coverage() < 0 || c.Coverage() > 1 {
+			t.Errorf("server %s: coverage %v out of range", id, c.Coverage())
 		}
-		switch c.Confidence {
+		switch c.Confidence() {
 		case measure.ConfidenceFull, measure.ConfidenceDegraded, measure.ConfidenceLow:
 		default:
-			t.Errorf("server %s: unknown confidence %q", id, c.Confidence)
+			t.Errorf("server %s: unknown confidence %q", id, c.Confidence())
 		}
 		if len(c.LostLandmarks) > 0 {
 			sawPartial = true

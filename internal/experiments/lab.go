@@ -13,6 +13,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"activegeo/internal/atlas"
 	"activegeo/internal/cbg"
@@ -197,6 +198,15 @@ func NewLab(cfg Config) (*Lab, error) {
 	net.SetFaults(cfg.Faults)
 
 	return lab, nil
+}
+
+// Concurrency resolves the lab's worker count for parallel stages:
+// Cfg.Concurrency when positive, else GOMAXPROCS.
+func (l *Lab) Concurrency() int {
+	if l.Cfg.Concurrency > 0 {
+		return l.Cfg.Concurrency
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // policy returns the measurement resilience policy matching the

@@ -31,6 +31,12 @@ type Server struct {
 	TrueCountry    string // ISO code (ground truth, hidden from the pipeline)
 }
 
+// GroupKey is the server's provider/AS//24 group: the key of
+// Fleet.DataCenterGroups and of the streaming audit's group column.
+func (s *Server) GroupKey() string {
+	return fmt.Sprintf("%s/AS%d/%s", s.Provider, s.Host.ASN, s.Host.Prefix24)
+}
+
 // Provider is one VPN service.
 type Provider struct {
 	Name    string // "A" … "G"
@@ -326,7 +332,7 @@ func (f *Fleet) Pingable() []*Server {
 func (f *Fleet) DataCenterGroups() map[string][]*Server {
 	groups := map[string][]*Server{}
 	for _, s := range f.Servers() {
-		key := fmt.Sprintf("%s/AS%d/%s", s.Provider, s.Host.ASN, s.Host.Prefix24)
+		key := s.GroupKey()
 		groups[key] = append(groups[key], s)
 	}
 	return groups

@@ -6,10 +6,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"activegeo/internal/assess"
 	"activegeo/internal/atlas"
 	"activegeo/internal/detect"
 	"activegeo/internal/geoloc"
@@ -50,7 +48,7 @@ type Config struct {
 	// full — backpressure, not accumulation.
 	QueueDepth int
 
-	// Adversary, when armed, mirrors the batch audit's detection layer:
+	// Adversary, when armed, runs the batch audit's detection layer:
 	// the calibration mesh is cross-validated before each pass, flagged
 	// landmarks' reports are dropped from every server's localization
 	// inputs, and each verdict carries a manipulation inspection judged
@@ -240,11 +238,7 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 				return true
 			}
 			if prov != nil {
-				specs := make([]ServerSpec, len(batch))
-				for i, it := range batch {
-					specs[i] = it.spec
-				}
-				if err := prov.Provision(specs); err != nil {
+				if err := prov.Provision(specsOf(batch)); err != nil {
 					feedErr = fmt.Errorf("stream: provisioning batch: %w", err)
 					return false
 				}
@@ -256,11 +250,7 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 				// The batch was provisioned but never handed off: release
 				// it here or its hosts leak into the next pass.
 				if prov != nil {
-					specs := make([]ServerSpec, len(batch))
-					for i, it := range batch {
-						specs[i] = it.spec
-					}
-					prov.Release(specs)
+					prov.Release(specsOf(batch))
 				}
 				feedErr = ctx.Err()
 				return false
@@ -289,27 +279,19 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 		flush()
 	}()
 
+	// Only assessed batches count. After a cancel the rest drain
+	// without assessment, so every unfinished row keeps its old
+	// signature and stays dirty for the next pass.
+	unassessed := false
 	for batch := range batches {
-		if ctx.Err() != nil {
-			// Canceled: drain without assessing, so every unfinished row
-			// keeps its old signature and stays dirty for the next pass.
-			if prov != nil {
-				specs := make([]ServerSpec, len(batch))
-				for i, it := range batch {
-					specs[i] = it.spec
-				}
-				prov.Release(specs)
-			}
-			continue
-		}
 		start := time.Now()
-		a.runBatch(ctx, batch)
+		assessed := ctx.Err() == nil && a.runBatch(ctx, batch)
 		if prov != nil {
-			specs := make([]ServerSpec, len(batch))
-			for i, it := range batch {
-				specs[i] = it.spec
-			}
-			prov.Release(specs)
+			prov.Release(specsOf(batch))
+		}
+		if !assessed {
+			unassessed = true
+			continue
 		}
 		wallMs := float64(time.Since(start)) / float64(time.Millisecond)
 		tel.Observe("stream.batch.ms", wallMs)
@@ -326,6 +308,9 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	if feedErr != nil {
 		return stats, feedErr
 	}
+	if unassessed {
+		return stats, ctx.Err()
+	}
 
 	a.store.resolveGroups()
 	// Like the group refinement, the manipulation judgment is a pure
@@ -338,9 +323,20 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	return stats, nil
 }
 
+// specsOf lists a batch's specs for the Provisioner.
+func specsOf(batch []batchItem) []ServerSpec {
+	specs := make([]ServerSpec, len(batch))
+	for i, it := range batch {
+		specs[i] = it.spec
+	}
+	return specs
+}
+
 // runBatch measures and assesses one batch: the only point where RTT
-// vectors and prediction regions exist, and they die with the batch.
-func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) {
+// vectors and prediction regions exist, and they die with the batch. It
+// reports false, leaving every row dirty, when ctx was canceled during
+// the measurement.
+func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) bool {
 	proxies := make([]netsim.HostID, len(batch))
 	for i, it := range batch {
 		proxies[i] = it.spec.ID
@@ -356,106 +352,16 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) {
 	}
 	measured := mb.Run(ctx, proxies)
 	if ctx.Err() != nil {
-		// The measurement was cut short by cancellation; don't bake the
-		// partial results into the store — the rows stay dirty.
-		return
+		return false
 	}
-
-	armed := a.cfg.Adversary.Enabled()
-	inspectCfg := detect.DefaultInspectConfig()
-	parallelFor(len(batch), a.concurrency(), func(i int) {
+	ParallelFor(len(batch), a.concurrency(), func(i int) {
 		it := batch[i]
-		o := outcome{spec: it.spec, sig: it.sig, pass: a.pass}
-		region := a.cfg.Env.Grid.NewRegion()
-		var ms []geoloc.Measurement
-		switch {
-		case measured[i].Err != nil:
-			o.errStage = StageMeasure
-			o.errMsg = measured[i].Err.Error()
-		default:
-			ms = measured[i].Result.Measurements()
-			if armed {
-				// Flagged landmarks' reports are poison: drop them before
-				// fitting a region, exactly as the batch audit does.
-				kept := make([]geoloc.Measurement, 0, len(ms))
-				for _, m := range ms {
-					if !a.lmReport.IsFlagged(m.LandmarkID) {
-						kept = append(kept, m)
-					}
-				}
-				o.excluded = len(ms) - len(kept)
-				ms = kept
-			}
-			o.nMeas = len(ms)
-			if len(ms) < 4 {
-				o.errStage = StageMeasure
-				// Byte-identical to the batch audit's error (which is
-				// minted in package experiments) so fingerprints agree.
-				o.errMsg = fmt.Sprintf("experiments: only %d usable measurements (need 4)", len(ms))
-			} else if r2, lerr := a.cfg.Locator.Locate(ms); lerr != nil {
-				o.errStage = StageLocate
-				o.errMsg = lerr.Error()
-			} else {
-				region = r2
-			}
+		sa := AuditServer(a.cfg.Env, a.cfg.Mask, a.cfg.Locator, a.lmReport, measured[i], it.spec)
+		var deg *measure.Degradation
+		if r := measured[i].Result; r != nil {
+			deg = r.Deg
 		}
-		if armed {
-			if c, ok := region.Centroid(); ok {
-				o.insp = detect.InspectServer(ms, c, inspectCfg)
-			}
-		}
-		res := assess.Assess(a.cfg.Mask, region, string(it.spec.ID), it.spec.Provider, it.spec.Claimed)
-		o.raw = res.VerdictRaw
-		o.dc = res.Verdict
-		o.cont = res.ContVerdict
-		o.probable = res.ProbableCountry
-		o.candidates = res.Candidates
-		o.cells = region.Count()
-		if r := measured[i].Result; r != nil && r.Deg != nil {
-			o.coverage = &Coverage{
-				Planned:         r.Deg.Planned,
-				Measured:        r.Deg.Measured,
-				Retries:         r.Deg.Retries,
-				ProbeFailures:   r.Deg.ProbeFailures,
-				LostLandmarks:   append([]netsim.HostID(nil), r.Deg.LostLandmarks...),
-				Disconnected:    r.Deg.Disconnected,
-				BudgetExhausted: r.Deg.BudgetExhausted,
-				Ratio:           r.Deg.Coverage(),
-				Confidence:      r.Deg.Confidence(),
-			}
-		}
-		a.store.setResult(it.row, o)
+		a.store.setResult(it, a.pass, &sa, deg)
 	})
-}
-
-// parallelFor runs fn(i) for i in [0, n) on at most workers goroutines
-// (inline, in order, when workers ≤ 1). Work is handed out by an atomic
-// counter; fn writes into per-index state, so scheduling cannot affect
-// results.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return true
 }

@@ -1,12 +1,16 @@
-// Package stream is the streaming fleet audit: the §6 pipeline
-// restructured so memory stays bounded at any fleet size. The
-// materializing Lab.Audit keeps every server's measurements and
-// prediction region alive at once — O(fleet) — which caps the auditable
-// fleet far below the ROADMAP's production scale. Here the fleet flows
-// through a bounded-queue batch scheduler instead: per-server RTT
-// vectors and regions live only for the batch that carries them, and the
-// only O(fleet) state is the columnar verdict store (a few dozen bytes
-// per server).
+// Package stream is the streaming fleet audit, and the home of the §6
+// per-server audit kernel that both audit engines run. AuditServer takes
+// one measured server through landmark exclusion, the four-measurement
+// floor, localization, claim assessment and manipulation inspection;
+// FormatFingerprint prints an audit's verdicts; ParallelFor is the
+// worker pool. The materializing Lab.Audit calls them over the whole
+// fleet at once and keeps every region alive — O(fleet) — which caps
+// the auditable fleet far below the ROADMAP's production scale.
+//
+// The Auditor calls the same kernel from a bounded-queue batch
+// scheduler instead: per-server RTT vectors and regions live only for
+// the batch that carries them, and the only O(fleet) state is the
+// columnar verdict store (a few dozen bytes per server).
 //
 // Re-assessment is churn-driven: every verdict is stamped with a
 // dependency signature over the atlas epoch, the fault ledger and the
@@ -19,8 +23,6 @@
 package stream
 
 import (
-	"fmt"
-
 	"activegeo/internal/netsim"
 	"activegeo/internal/proxy"
 )
@@ -80,8 +82,6 @@ func (s *FleetSource) Spec(i int) ServerSpec {
 		ID:       sv.Host.ID,
 		Provider: sv.Provider,
 		Claimed:  sv.ClaimedCountry,
-		// Same key format as Fleet.DataCenterGroups, so the streaming
-		// group disambiguation partitions exactly like the batch one.
-		GroupKey: fmt.Sprintf("%s/AS%d/%s", sv.Provider, sv.Host.ASN, sv.Host.Prefix24),
+		GroupKey: sv.GroupKey(),
 	}
 }

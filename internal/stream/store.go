@@ -1,38 +1,14 @@
 package stream
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"activegeo/internal/assess"
 	"activegeo/internal/detect"
+	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 )
-
-// Audit pipeline stage names recorded for failed servers. The values
-// match the batch audit's experiments.StageMeasure/StageLocate so the
-// fingerprints agree byte for byte (stream cannot import experiments:
-// experiments imports stream for the Lab wiring).
-const (
-	StageMeasure = "measure"
-	StageLocate  = "locate"
-)
-
-// Coverage is one server's degradation annotation under fault injection,
-// mirroring the batch audit's CoverageNote field for field.
-type Coverage struct {
-	Planned         int
-	Measured        int
-	Retries         int
-	ProbeFailures   int
-	LostLandmarks   []netsim.HostID
-	Disconnected    bool
-	BudgetExhausted bool
-	Ratio           float64
-	Confidence      string
-}
 
 // Store is the columnar (struct-of-arrays) verdict store: the only
 // O(fleet) state the streaming audit keeps. Verdicts, claims and
@@ -71,13 +47,12 @@ type Store struct {
 	probableDC           []uint16
 	probableFinal        []uint16
 	cells                []int32
-	nMeas                []uint16
 	candidates           [][]uint16 // sorted interned country codes
 
-	errStage []uint8 // 0 none, 1 measure, 2 locate
+	errStage []uint8 // index into stageNames
 	errMsg   []string
 
-	coverage map[int]Coverage
+	coverage map[int]measure.Degradation
 
 	// Adversary-detection columns, populated only while the auditor's
 	// plan is armed. advInsp holds each row's manipulation inspection —
@@ -104,7 +79,7 @@ func NewStore() *Store {
 		groupKeys:    []string{""},
 		groupIdx:     map[string]uint32{"": 0},
 		groupMembers: map[uint32][]int{},
-		coverage:     map[int]Coverage{},
+		coverage:     map[int]measure.Degradation{},
 	}
 }
 
@@ -168,7 +143,6 @@ func (s *Store) ensure(spec ServerSpec) int {
 		s.probableDC = append(s.probableDC, 0)
 		s.probableFinal = append(s.probableFinal, 0)
 		s.cells = append(s.cells, 0)
-		s.nMeas = append(s.nMeas, 0)
 		s.candidates = append(s.candidates, nil)
 		s.errStage = append(s.errStage, 0)
 		s.errMsg = append(s.errMsg, "")
@@ -200,68 +174,56 @@ func (s *Store) sigOf(row int) (uint64, bool) {
 	return s.sig[row], s.assessed[row]
 }
 
-// outcome is one server's freshly computed assessment, written into the
-// row's columns by setResult.
-type outcome struct {
-	spec       ServerSpec
-	sig        uint64
-	pass       uint32
-	raw        assess.Verdict
-	dc         assess.Verdict
-	cont       assess.Verdict
-	probable   string
-	candidates []string
-	cells      int
-	nMeas      int
-	errStage   string
-	errMsg     string
-	coverage   *Coverage
-	insp       detect.Inspection
-	excluded   int
-}
+// stageNames maps the errStage column back to the stage names.
+var stageNames = [...]string{"", StageMeasure, StageLocate}
 
-func (s *Store) setResult(row int, o outcome) {
+// setResult writes one server's freshly computed assessment into its
+// row. deg is the measurement's fault ledger (nil on the fault-free
+// path); the campaign that filled it is finished, so the row may keep
+// its LostLandmarks slice without a copy.
+func (s *Store) setResult(it batchItem, pass uint32, sa *ServerAudit, deg *measure.Degradation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.provider[row] = s.internProvider(o.spec.Provider)
-	s.claimed[row] = s.internCountry(o.spec.Claimed)
-	s.sig[row] = o.sig
+	row, res := it.row, sa.Result
+	s.provider[row] = s.internProvider(it.spec.Provider)
+	s.claimed[row] = s.internCountry(it.spec.Claimed)
+	s.sig[row] = it.sig
 	s.assessed[row] = true
-	s.lastPass[row] = o.pass
-	s.raw[row] = uint8(o.raw)
-	s.dc[row] = uint8(o.dc)
-	s.final[row] = uint8(o.dc) // group disambiguation refines this in resolveGroups
-	s.cont[row] = uint8(o.cont)
-	p := s.internCountry(o.probable)
+	s.lastPass[row] = pass
+	s.raw[row] = uint8(res.VerdictRaw)
+	s.dc[row] = uint8(res.Verdict)
+	s.final[row] = uint8(res.Verdict) // group disambiguation refines this in resolveGroups
+	s.cont[row] = uint8(res.ContVerdict)
+	p := s.internCountry(res.ProbableCountry)
 	s.probableDC[row] = p
 	s.probableFinal[row] = p
-	s.cells[row] = int32(o.cells)
-	s.nMeas[row] = uint16(o.nMeas)
-	if len(o.candidates) == 0 {
+	s.cells[row] = int32(res.Region.Count())
+	if len(res.Candidates) == 0 {
 		s.candidates[row] = nil
 	} else {
-		cand := make([]uint16, len(o.candidates))
-		for i, c := range o.candidates {
+		cand := make([]uint16, len(res.Candidates))
+		for i, c := range res.Candidates {
 			cand[i] = s.internCountry(c)
 		}
 		s.candidates[row] = cand
 	}
-	switch o.errStage {
-	case StageMeasure:
-		s.errStage[row] = 1
-	case StageLocate:
-		s.errStage[row] = 2
-	default:
-		s.errStage[row] = 0
+	s.errStage[row] = 0
+	s.errMsg[row] = ""
+	if sa.ErrStage != "" {
+		for i, name := range stageNames {
+			if name == sa.ErrStage {
+				s.errStage[row] = uint8(i)
+			}
+		}
+		s.errMsg[row] = sa.Err.Error()
 	}
-	s.errMsg[row] = o.errMsg
-	if o.coverage != nil {
-		s.coverage[row] = *o.coverage
+	if deg != nil {
+		s.coverage[row] = *deg
 	} else {
 		delete(s.coverage, row)
 	}
-	s.advInsp[row] = o.insp
-	s.advExcluded[row] = int32(o.excluded)
+	s.advInsp[row] = sa.Inspection
+	s.advExcluded[row] = int32(sa.Excluded)
 }
 
 // setAdversary records the current pass's adversary state: whether the
@@ -383,49 +345,56 @@ func (s *Store) resolveGroups() {
 func (s *Store) Tally() assess.Tally {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tallyLocked()
-}
-
-func (s *Store) tallyLocked() assess.Tally {
 	var t assess.Tally
 	for row := range s.final {
-		switch assess.Verdict(s.final[row]) {
-		case assess.Credible:
-			t.Credible++
-		case assess.Uncertain:
-			t.Uncertain++
-			if assess.Verdict(s.cont[row]) != assess.False {
-				t.UncertainSameCont++
-			}
-		case assess.False:
-			t.False++
-			if assess.Verdict(s.cont[row]) == assess.False {
-				t.FalseOffContinent++
-			}
-		}
+		t.Add(assess.Verdict(s.final[row]), assess.Verdict(s.cont[row]))
 	}
 	return t
 }
 
-// Stats are the store-wide aggregates of the batch audit's AuditRun.
+// Stats are the audit-wide aggregates: the store computes them from its
+// columns, and the batch audit's AuditRun embeds them.
 type Stats struct {
-	Servers             int
+	Servers int
+	// ReclassifiedByDC counts uncertain→(credible|false) flips from the
+	// data-center check; ReclassifiedByGroup those from the AS//24 check.
 	ReclassifiedByDC    int
 	ReclassifiedByGroup int
-	MeasureFailures     int
-	LocateFailures      int
+	// MeasureFailures and LocateFailures count the servers the pipeline
+	// produced no region for, by the stage that failed.
+	MeasureFailures int
+	LocateFailures  int
 
+	// Fault-resilience aggregates over the FaultyServers that kept a
+	// fault ledger (none on the fault-free path); DegradedServers counts
+	// those whose confidence is not "full".
+	FaultyServers   int
 	Retries         int
 	ProbeFailures   int
 	LostLandmarks   int
 	Disconnects     int
 	DegradedServers int
-	FaultyServers   int
+
+	// Adversary aggregates, zero while the plan is disarmed: samples
+	// dropped because a flagged landmark reported them, and
+	// manipulation-suspected verdicts.
+	ExcludedMeasurements int
+	SuspectedServers     int
 }
 
-// ConfidenceFull mirrors measure.ConfidenceFull without importing it
-// into the hot columnar path's dependencies.
-const confidenceFull = "full"
+// AddCoverage folds one server's fault ledger into the aggregates.
+func (st *Stats) AddCoverage(d *measure.Degradation) {
+	st.FaultyServers++
+	st.Retries += d.Retries
+	st.ProbeFailures += d.ProbeFailures
+	st.LostLandmarks += len(d.LostLandmarks)
+	if d.Disconnected {
+		st.Disconnects++
+	}
+	if d.Confidence() != measure.ConfidenceFull {
+		st.DegradedServers++
+	}
+}
 
 // Stats computes the aggregates.
 func (s *Store) Stats() Stats {
@@ -440,29 +409,20 @@ func (s *Store) statsLocked() Stats {
 		if assess.Verdict(s.raw[row]) == assess.Uncertain && assess.Verdict(s.dc[row]) != assess.Uncertain {
 			st.ReclassifiedByDC++
 		}
-		switch s.errStage[row] {
-		case 1:
+		switch stageNames[s.errStage[row]] {
+		case StageMeasure:
 			st.MeasureFailures++
-		case 2:
+		case StageLocate:
 			st.LocateFailures++
 		}
-	}
-	rows := make([]int, 0, len(s.coverage))
-	for row := range s.coverage {
-		rows = append(rows, row)
-	}
-	sort.Ints(rows)
-	for _, row := range rows {
-		c := s.coverage[row]
-		st.FaultyServers++
-		st.Retries += c.Retries
-		st.ProbeFailures += c.ProbeFailures
-		st.LostLandmarks += len(c.LostLandmarks)
-		if c.Disconnected {
-			st.Disconnects++
+		if c, ok := s.coverage[row]; ok {
+			st.AddCoverage(&c)
 		}
-		if c.Confidence != confidenceFull {
-			st.DegradedServers++
+		if s.advArmed {
+			st.ExcludedMeasurements += int(s.advExcluded[row])
+			if s.advInsp[row].Suspected {
+				st.SuspectedServers++
+			}
 		}
 	}
 	return st
@@ -505,66 +465,33 @@ func (s *Store) LastPass(id netsim.HostID) uint32 {
 	return s.lastPass[row]
 }
 
-// Fingerprint serializes the store byte-identically to the batch
-// audit's fingerprint (internal/experiments.Fingerprint): per-server
-// verdict lines in row order, the aggregate tally line, and the faults
-// line when any coverage annotations exist. Parity with the golden
-// audit SHA is what pins the streaming pipeline to the materializing
-// one.
+// Fingerprint serializes the store in row order through
+// FormatFingerprint, the format experiments.Fingerprint prints a batch
+// audit in. Parity with the golden audit SHA pins the streaming engine
+// to the batch one.
 func (s *Store) Fingerprint() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var b strings.Builder
-	for row, id := range s.ids {
-		var cand []string
+	return FormatFingerprint(len(s.ids), func(row int) FingerprintRow {
+		r := FingerprintRow{
+			ID:       string(s.ids[row]),
+			Raw:      assess.Verdict(s.raw[row]),
+			Verdict:  assess.Verdict(s.final[row]),
+			Cont:     assess.Verdict(s.cont[row]),
+			Probable: s.countries[s.probableFinal[row]],
+			Cells:    int(s.cells[row]),
+			ErrStage: stageNames[s.errStage[row]],
+			ErrMsg:   s.errMsg[row],
+		}
 		if cs := s.candidates[row]; len(cs) > 0 {
-			cand = make([]string, len(cs))
+			r.Candidates = make([]string, len(cs))
 			for i, c := range cs {
-				cand[i] = s.countries[c]
+				r.Candidates[i] = s.countries[c]
 			}
 		}
-		fmt.Fprintf(&b, "%s|%s|%s|%s|%s|%v|%d", id,
-			assess.Verdict(s.raw[row]), assess.Verdict(s.final[row]),
-			assess.Verdict(s.cont[row]), s.countries[s.probableFinal[row]],
-			cand, s.cells[row])
-		switch s.errStage[row] {
-		case 1:
-			fmt.Fprintf(&b, "|err:%s:%s", StageMeasure, s.errMsg[row])
-		case 2:
-			fmt.Fprintf(&b, "|err:%s:%s", StageLocate, s.errMsg[row])
-		}
-		if c, ok := s.coverage[row]; ok {
-			fmt.Fprintf(&b, "|cov:%d/%d:r%d:f%d:lost%v:disc%v:budget%v:%.4f:%s",
-				c.Measured, c.Planned, c.Retries, c.ProbeFailures, c.LostLandmarks,
-				c.Disconnected, c.BudgetExhausted, c.Ratio, c.Confidence)
-		}
-		// Adversary annotations only exist when the plan is armed, so the
-		// honest fingerprint is byte-identical to the pre-adversary one.
-		if s.advArmed {
-			insp := s.advInsp[row]
-			fmt.Fprintf(&b, "|adv:%v:%.4f:%v", insp.Suspected, insp.Score, insp.Reasons)
-		}
-		b.WriteByte('\n')
-	}
-	t := s.tallyLocked()
-	st := s.statsLocked()
-	fmt.Fprintf(&b, "tally:%d/%d/%d offcont:%d samecont:%d dc:%d group:%d mfail:%d lfail:%d\n",
-		t.Credible, t.Uncertain, t.False, t.FalseOffContinent, t.UncertainSameCont,
-		st.ReclassifiedByDC, st.ReclassifiedByGroup, st.MeasureFailures, st.LocateFailures)
-	if st.FaultyServers > 0 {
-		fmt.Fprintf(&b, "faults: retries:%d probefail:%d lost:%d disc:%d degraded:%d\n",
-			st.Retries, st.ProbeFailures, st.LostLandmarks, st.Disconnects, st.DegradedServers)
-	}
-	if s.advArmed {
-		suspected, excluded := 0, 0
-		for row := range s.ids {
-			if s.advInsp[row].Suspected {
-				suspected++
-			}
-			excluded += int(s.advExcluded[row])
-		}
-		fmt.Fprintf(&b, "adversary: flagged:%v excluded:%d suspected:%d\n",
-			s.advFlagged, excluded, suspected)
-	}
-	return b.String()
+		r.Coverage, r.Faulty = s.coverage[row]
+		insp := s.advInsp[row]
+		r.Suspected, r.Score, r.Reasons = insp.Suspected, insp.Score, insp.Reasons
+		return r
+	}, s.statsLocked(), s.advArmed, s.advFlagged)
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -132,40 +133,52 @@ func TestSynthDeterministicAcrossBatchGeometry(t *testing.T) {
 }
 
 // TestSyncContextCancel: a canceled context aborts the pass with the
-// context error rather than hanging the feeder on a full queue.
+// context error rather than hanging the feeder on a full queue, and the
+// pass counts only the batches it assessed. With 16 servers the feeder
+// has already queued its last batch when the cancel lands, so only the
+// drained batch is left unassessed — that pass must fail too.
 func TestSyncContextCancel(t *testing.T) {
-	te := newTestEnv(t, 31)
-	src := NewSynthSource(te.net, 400, 777)
-	a := te.auditor(8, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := false
-	a.cfg.OnBatchDone = func(BatchStats) {
-		if !done {
-			done = true
-			cancel()
-		}
-	}
-	_, err := a.Sync(ctx, src)
-	if err == nil {
-		t.Fatal("Sync with canceled context returned nil error")
-	}
+	for _, n := range []int{400, 16} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			te := newTestEnv(t, 31)
+			src := NewSynthSource(te.net, n, 777)
+			a := te.auditor(8, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := false
+			a.cfg.OnBatchDone = func(BatchStats) {
+				if !done {
+					done = true
+					cancel()
+				}
+			}
+			canceled, err := a.Sync(ctx, src)
+			if err == nil {
+				t.Fatalf("Sync with canceled context returned nil error: %+v", canceled)
+			}
 
-	// Everything the canceled pass did not finish stayed dirty: a fresh
-	// pass picks the remainder up, and a third pass is quiescent.
-	a.cfg.OnBatchDone = nil
-	resume, err := a.Sync(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resume.Audited == 0 {
-		t.Fatal("resume pass audited nothing — canceled rows were wrongly marked clean")
-	}
-	final, err := a.Sync(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Audited != 0 || final.Skipped != 400 {
-		t.Fatalf("post-resume pass must be quiescent over all 400 servers: %+v", final)
+			// Everything the canceled pass did not finish stayed dirty: a
+			// fresh pass picks up exactly the remainder, and a third pass
+			// is quiescent.
+			a.cfg.OnBatchDone = nil
+			resume, err := a.Sync(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resume.Audited == 0 {
+				t.Fatal("resume pass audited nothing — canceled rows were wrongly marked clean")
+			}
+			if canceled.Audited+resume.Audited != n {
+				t.Fatalf("canceled pass counted %d audited, resume audited %d: want %d in total",
+					canceled.Audited, resume.Audited, n)
+			}
+			final, err := a.Sync(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.Audited != 0 || final.Skipped != n {
+				t.Fatalf("post-resume pass must be quiescent over all %d servers: %+v", n, final)
+			}
+		})
 	}
 }
 
